@@ -14,8 +14,8 @@ int main() {
   PrintHeader("Ablation", "Summary structures for content routing (Query 1)");
   net::Topology topo = PaperTopology();
   workload::SelectivityParams sel{0.5, 0.5, 0.2};
-  const int cycles = CyclesFromEnv(100);
-  const int runs = RunsFromEnv(3);
+  const int cycles = FromEnv(Env::kCycles, 100);
+  const int runs = FromEnv(Env::kRuns, 3);
   struct Variant {
     const char* name;
     routing::SummaryType type;

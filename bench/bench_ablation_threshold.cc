@@ -15,8 +15,8 @@ int main() {
   net::Topology topo = PaperTopology();
   workload::SelectivityParams truth{0.1, 1.0, 0.2};
   workload::SelectivityParams wrong{1.0, 0.1, 0.2};
-  const int cycles = CyclesFromEnv(400);
-  const int runs = RunsFromEnv(3);
+  const int cycles = FromEnv(Env::kCycles, 400);
+  const int runs = FromEnv(Env::kRuns, 3);
 
   core::Table table({"threshold", "total traffic", "migrations",
                      "vs no learning"});

@@ -21,8 +21,8 @@ int main() {
   PrintHeader("Ablation", "Number of routing trees (Innet, Query 1)");
   net::Topology topo = PaperTopology();
   workload::SelectivityParams sel{0.5, 0.5, 0.2};
-  const int cycles = CyclesFromEnv(200);
-  const int runs = RunsFromEnv(3);
+  const int cycles = FromEnv(Env::kCycles, 200);
+  const int runs = FromEnv(Env::kRuns, 3);
   core::Table table({"trees", "initiation", "computation", "total",
                      "avg path len (pairs)"});
   for (int trees : {1, 2, 3}) {
@@ -60,7 +60,7 @@ int main() {
   JsonReport report("BENCH_ablation_trees.json", /*merge=*/true);
   const int kQueries = 8;
   const int kPairs = 20;
-  const int mode_cycles = CyclesFromEnv(100);
+  const int mode_cycles = FromEnv(Env::kCycles, 100);
   // Distinct templates; an "overlapping" query reuses template 0 instead.
   std::vector<workload::Workload> pool;
   pool.reserve(kQueries);

@@ -14,7 +14,7 @@ using namespace aspen::benchutil;
 
 int main() {
   PrintHeader("Appendix G", "Mobile leaf re-attachment cost");
-  const int runs = RunsFromEnv(3);
+  const int runs = FromEnv(Env::kRuns, 3);
   double total_bytes = 0, total_cycles = 0;
   int moves = 0;
   for (int r = 0; r < runs; ++r) {

@@ -15,6 +15,6 @@ int main() {
       [&](const workload::SelectivityParams& p, uint64_t seed) {
         return workload::Workload::MakeQuery2(&topo, p, /*window=*/1, seed);
       },
-      CyclesFromEnv(100), /*mesh=*/false);
+      FromEnv(Env::kCycles, 100), /*mesh=*/false);
   return 0;
 }

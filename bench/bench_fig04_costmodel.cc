@@ -20,6 +20,6 @@ int main() {
                                               /*window=*/3, seed);
       },
       AlgoSpec{join::Algorithm::kInnet, join::InnetFeatures::None()},
-      /*sigma_st=*/0.2, CyclesFromEnv(100), /*learning=*/false);
+      /*sigma_st=*/0.2, FromEnv(Env::kCycles, 100), /*learning=*/false);
   return 0;
 }

@@ -30,7 +30,7 @@ int main() {
     auto wl = OrDie(workload::Workload::MakeQuery1(&topo, sel, 3, 7));
     auto stats =
         OrDie(core::RunExperiment(wl, MakeOptions(algo, sel),
-                                  CyclesFromEnv(100)));
+                                  FromEnv(Env::kCycles, 100)));
     loads.push_back(stats.top_node_loads);
   }
   for (int rank = 0; rank < 15; ++rank) {

@@ -15,7 +15,7 @@ using namespace aspen::benchutil;
 
 int main() {
   PrintHeader("Figure 6", "Centralized vs distributed initiation");
-  const int runs = RunsFromEnv();
+  const int runs = FromEnv(Env::kRuns, 5);
   double cent_base = 0, dist_base = 0, cent_total = 0, dist_total = 0;
   double cent_lat = 0, dist_lat = 0;
   for (int r = 0; r < runs; ++r) {

@@ -14,7 +14,7 @@ using namespace aspen::benchutil;
 
 int main() {
   PrintHeader("Figure 7", "Optimal vs distributed placement traffic");
-  const int runs = RunsFromEnv();
+  const int runs = FromEnv(Env::kRuns, 5);
   core::Table table(
       {"topology", "Optimal (hops/cycle)", "Distributed (hops/cycle)",
        "D/O"});

@@ -20,13 +20,13 @@ int main() {
       [&](const workload::SelectivityParams& truth, uint64_t seed) {
         return workload::Workload::MakeQuery1(&topo, truth, 3, seed);
       },
-      cmpg, 0.05, CyclesFromEnv(100), /*learning=*/false);
+      cmpg, 0.05, FromEnv(Env::kCycles, 100), /*learning=*/false);
 
   std::printf("\n(b) Query 2, sigma_st=10%%, w=1\n");
   RunEstimateMatrix(
       [&](const workload::SelectivityParams& truth, uint64_t seed) {
         return workload::Workload::MakeQuery2(&topo, truth, 1, seed);
       },
-      cmpg, 0.10, CyclesFromEnv(100), /*learning=*/false);
+      cmpg, 0.10, FromEnv(Env::kCycles, 100), /*learning=*/false);
   return 0;
 }

@@ -61,7 +61,7 @@ int main() {
   std::vector<std::string> h2{"sigma_st"};
   for (const auto& v : variants) h2.push_back(v.Name());
   core::Table long_run(h2);
-  const int runs = RunsFromEnv(3);
+  const int runs = FromEnv(Env::kRuns, 3);
   for (const auto& js : JoinSels()) {
     workload::SelectivityParams p{0.5, 0.5, js.value};
     std::vector<std::string> row{js.label};
@@ -70,7 +70,7 @@ int main() {
           [&](uint64_t seed) {
             return workload::Workload::MakeQuery2(&topo, p, 1, seed);
           },
-          MakeOptions(v, p), CyclesFromEnv(1000), runs));
+          MakeOptions(v, p), FromEnv(Env::kCycles, 1000), runs));
       row.push_back(core::HumanBytes(agg.total_bytes));
     }
     long_run.AddRow(row);

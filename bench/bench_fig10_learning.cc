@@ -15,7 +15,7 @@ namespace {
 
 void GainLossMatrix(const TrueFactory& factory, double sigma_st, int window,
                     int cycles) {
-  const int runs = RunsFromEnv(3);
+  const int runs = FromEnv(Env::kRuns, 3);
   AlgoSpec cmpg{join::Algorithm::kInnet, join::InnetFeatures::Cmpg()};
   std::vector<std::string> headers{"true \\ assumed"};
   for (const auto& a : Ratios()) headers.push_back(a.label);
@@ -56,7 +56,7 @@ void GainLossMatrix(const TrueFactory& factory, double sigma_st, int window,
 int main() {
   PrintHeader("Figure 10", "Learning gain/loss under wrong estimates");
   net::Topology topo = PaperTopology();
-  const int cycles = CyclesFromEnv(200);
+  const int cycles = FromEnv(Env::kCycles, 200);
 
   std::printf("\n(a) Query 0, sigma_st=20%%, w=3\n");
   GainLossMatrix(

@@ -24,7 +24,7 @@ const workload::SelectivityParams kSel2{1.00, 0.10, 0.20};
 using Factory = std::function<Result<workload::Workload>(uint64_t)>;
 
 void RunScenario(const char* name, const Factory& factory, int cycles) {
-  const int runs = RunsFromEnv(3);
+  const int runs = FromEnv(Env::kRuns, 3);
   AlgoSpec cmpg{join::Algorithm::kInnet, join::InnetFeatures::Cmpg()};
   core::Table table({"column", name});
   struct Column {
@@ -55,7 +55,7 @@ void RunScenario(const char* name, const Factory& factory, int cycles) {
 int main() {
   PrintHeader("Figure 12", "Spatial & temporal selectivity learning");
   net::Topology topo = PaperTopology();
-  const int cycles = CyclesFromEnv(800);
+  const int cycles = FromEnv(Env::kCycles, 800);
 
   std::printf("\n(a) Spatial skew: half Sel1, half Sel2 (%d cycles)\n",
               cycles);

@@ -15,8 +15,8 @@ using namespace aspen::benchutil;
 int main() {
   PrintHeader("Figure 13", "Query 3 on the Intel-like dataset (54 nodes)");
   net::Topology topo = net::Topology::IntelLab();
-  const int cycles = CyclesFromEnv(2000);
-  const int runs = RunsFromEnv(3);
+  const int cycles = FromEnv(Env::kCycles, 2000);
+  const int runs = FromEnv(Env::kRuns, 3);
   std::printf("%d sampling cycles, %d runs (paper: 65535 samples)\n", cycles,
               runs);
 

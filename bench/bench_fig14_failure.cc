@@ -65,7 +65,7 @@ Outcome RunOnce(const net::Topology& topo, double sigma_st, bool fail,
 
 int main() {
   PrintHeader("Figure 14", "Join-node failure: delay and traffic");
-  const int runs = RunsFromEnv();
+  const int runs = FromEnv(Env::kRuns, 5);
   core::Table table({"sigma_st", "scenario", "max delay (cycles)",
                      "total traffic (KB)", "results"});
   for (double sigma_st : {0.10, 0.20}) {

@@ -19,7 +19,7 @@ int main() {
   core::Table len({"topology", "1 Tree", "2 Trees", "3 Trees", "GPSR",
                    "Full graph"});
   core::Table load({"topology", "1 Tree", "2 Trees", "3 Trees", "GPSR"});
-  const int runs = RunsFromEnv(3);
+  const int runs = FromEnv(Env::kRuns, 3);
   for (auto kind : kinds) {
     double l1 = 0, l2 = 0, l3 = 0, lg = 0, lf = 0;
     double m1 = 0, m2 = 0, m3 = 0, mg = 0;

@@ -17,7 +17,7 @@ int main() {
       net::TopologyKind::kGrid};
   core::Table len({"topology", "1 Tree", "2 Trees", "3 Trees", "DHT"});
   core::Table load({"topology", "1-tree", "2-tree", "3-tree", "DHT"});
-  const int runs = RunsFromEnv(3);
+  const int runs = FromEnv(Env::kRuns, 3);
   for (auto kind : kinds) {
     double l1 = 0, l2 = 0, l3 = 0, ld = 0;
     double m1 = 0, m2 = 0, m3 = 0, md = 0;

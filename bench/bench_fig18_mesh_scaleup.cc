@@ -13,7 +13,7 @@ int main() {
   PrintHeader("Figure 18", "Mesh scale-up: 50/100/200-node medium topologies");
   core::Table len({"network", "1 Tree", "2 Trees", "3 Trees"});
   core::Table load({"network", "1-tree", "2-tree", "3-tree"});
-  const int runs = RunsFromEnv(3);
+  const int runs = FromEnv(Env::kRuns, 3);
   for (int n : {50, 100, 200}) {
     double l1 = 0, l2 = 0, l3 = 0, m1 = 0, m2 = 0, m3 = 0;
     for (int r = 0; r < runs; ++r) {

@@ -16,6 +16,6 @@ int main() {
       [&](const workload::SelectivityParams& p, uint64_t seed) {
         return workload::Workload::MakeQuery1(&topo, p, /*window=*/3, seed);
       },
-      CyclesFromEnv(100), /*mesh=*/true);
+      FromEnv(Env::kCycles, 100), /*mesh=*/true);
   return 0;
 }

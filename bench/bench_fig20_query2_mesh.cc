@@ -14,6 +14,6 @@ int main() {
       [&](const workload::SelectivityParams& p, uint64_t seed) {
         return workload::Workload::MakeQuery2(&topo, p, /*window=*/1, seed);
       },
-      CyclesFromEnv(100), /*mesh=*/true);
+      FromEnv(Env::kCycles, 100), /*mesh=*/true);
   return 0;
 }

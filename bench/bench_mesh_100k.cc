@@ -37,7 +37,8 @@ int Main(int argc, char** argv) {
   allocaudit::SetCounting(true);  // the whole run is audited
   const bool smoke = benchutil::ConsumeSmokeFlag(&argc, argv);
   const int warmup_cycles = smoke ? 5 : 30;
-  const int measured_cycles = benchutil::CyclesFromEnv(smoke ? 10 : 100);
+  const int measured_cycles =
+      benchutil::FromEnv(benchutil::Env::kCycles, smoke ? 10 : 100);
 
   benchutil::PrintHeader("bench_mesh_100k",
                          "100,000-node grid join (spatial index + batched "
@@ -100,7 +101,6 @@ int Main(int argc, char** argv) {
 
   std::printf("nodes                 %d\n", topo.num_nodes());
   std::printf("shards                %d\n", opts.knobs.shards);
-  std::printf("pipeline depth        %d\n", opts.knobs.pipeline_depth);
   std::printf("pairs                 %zu\n", exec.pairs().size());
   std::printf("topology build        %.2f s\n", topo_s);
   std::printf("initiation            %.2f s\n", init_s);
@@ -118,7 +118,6 @@ int Main(int argc, char** argv) {
   benchutil::JsonReport report("BENCH_mesh_100k.json");
   report.Add("mesh_100k", "nodes", topo.num_nodes());
   report.Add("mesh_100k", "shards", opts.knobs.shards);
-  report.Add("mesh_100k", "pipeline_depth", opts.knobs.pipeline_depth);
   report.Add("mesh_100k", "topology_seconds", topo_s);
   report.Add("mesh_100k", "init_seconds", init_s);
   report.Add("mesh_100k", "cycles_per_sec", cycles_per_sec);

@@ -32,7 +32,7 @@ int Main(int argc, char** argv) {
   const bool smoke = benchutil::ConsumeSmokeFlag(&argc, argv);
   const int warmup_cycles = smoke ? 5 : 20;
   const int measured_cycles =
-      benchutil::CyclesFromEnv(smoke ? 10 : 100);
+      benchutil::FromEnv(benchutil::Env::kCycles, smoke ? 10 : 100);
 
   benchutil::PrintHeader("bench_mesh_10k",
                          "10,000-node grid join (zero-allocation data plane)");
@@ -84,7 +84,6 @@ int Main(int argc, char** argv) {
 
   std::printf("nodes                 %d\n", topo.num_nodes());
   std::printf("shards                %d\n", opts.knobs.shards);
-  std::printf("pipeline depth        %d\n", opts.knobs.pipeline_depth);
   std::printf("pairs                 %zu\n", exec.pairs().size());
   std::printf("initiation            %.2f s\n", init_s);
   std::printf("measured cycles       %d (after %d warm-up)\n",
@@ -98,18 +97,16 @@ int Main(int argc, char** argv) {
   std::printf("results delivered     %llu\n",
               static_cast<unsigned long long>(exec.results()));
 
-  // Merge mode: the CI release-bench invokes this binary once per
-  // (shards, pipeline) configuration; each run upserts its own per-config
+  // Merge mode: the CI release-bench invokes this binary once per shard
+  // count; each run upserts its own per-config
   // entry plus the headline "mesh_10k" entry (last configuration wins)
   // into the accumulated report.
   benchutil::JsonReport report("BENCH_mesh_10k.json", /*merge=*/true);
   char config[64];
-  std::snprintf(config, sizeof(config), "mesh_10k_s%d_p%d",
-                opts.knobs.shards, opts.knobs.pipeline_depth);
+  std::snprintf(config, sizeof(config), "mesh_10k_s%d", opts.knobs.shards);
   for (const char* entry : {"mesh_10k", static_cast<const char*>(config)}) {
     report.Add(entry, "nodes", topo.num_nodes());
     report.Add(entry, "shards", opts.knobs.shards);
-    report.Add(entry, "pipeline_depth", opts.knobs.pipeline_depth);
     report.Add(entry, "cycles_per_sec", cycles_per_sec);
     report.Add(entry, "ms_per_cycle", 1e3 * run_s / measured_cycles);
     report.Add(entry, "bytes", static_cast<double>(bytes));

@@ -54,22 +54,14 @@
 // tracks n=1000 at degree 7.0 and n=10000 at degree 13.0 — sizes the
 // quadratic scans made impractical to benchmark per-run.
 //
-// Record for the pipelined cross-cycle scheduler (pipeline_depth knob:
-// future cycles' pure sample stages overlap the current transmit).
-// BM_SampleStage isolates the overlapped work (RelWithDebInfo, one core,
-// --benchmark_min_time=1):
+// BM_SampleStage isolates the node-range pass of the sample phase
+// (RelWithDebInfo, one core, --benchmark_min_time=1):
 //
 //   BM_SampleStage             420 ns/cycle, 0 allocs (100-node Query 1)
-//   BM_FullExperimentCycle    8612 ns/cycle  -> the stage is ~5% of a
+//   BM_FullExperimentCycle    8612 ns/cycle  -> the pass is ~5% of a
 //                             100-node cycle; the fraction grows with node
 //                             count (10k-node grid: sampling 500 pairs +
 //                             filter evaluation per cycle)
-//   bench_mesh_10k, 1 core:   ~450 cyc/s (p1) vs ~460 cyc/s (s1 p2) —
-//                             within noise, as expected; s4 p2 drops to
-//                             ~313 cyc/s (oversubscribed). Overlap needs a
-//                             second core to pay off; see the CI multi-core
-//                             matrix in BENCH_mesh_10k.json
-//                             (mesh_10k_s<S>_p<P> entries).
 //
 // Before/after record for the PassFilters override path (per-node filter
 // table): the inner loop resolved ParamsAt (optional probe) + FilterFor
@@ -267,11 +259,9 @@ void BM_FullExperimentCycle(benchmark::State& state) {
 BENCHMARK(BM_FullExperimentCycle);
 
 void BM_SampleStage(benchmark::State& state) {
-  // The pure per-cycle sample stage in isolation: workload sampling +
-  // filter evaluation into the staged slab, no commit/submission. This is
-  // exactly the work the pipelined scheduler (pipeline_depth > 1) overlaps
-  // with the previous cycle's transmit, so ns/op here bounds the overlap's
-  // best-case saving per cycle.
+  // The sample phase's node-range pass in isolation: workload sampling +
+  // filter evaluation into the shard's staging arrays, no commit or
+  // submission. This is the work the scheduler spreads across shards.
   const net::Topology& topo = BenchTopology();
   workload::SelectivityParams sel{0.5, 0.5, 0.2};
   auto wl = *workload::Workload::MakeQuery1(&topo, sel, 3, 7);
@@ -281,22 +271,15 @@ void BM_SampleStage(benchmark::State& state) {
   opts.assumed = sel;
   join::JoinExecutor exec(&wl, opts);
   if (!exec.Initiate().ok()) state.SkipWithError("initiate failed");
-  sim::ShardPhaseParticipant& sp = exec;
+  sim::CycleParticipant& p = exec;
   const net::NodeId n = topo.num_nodes();
-  sp.ConfigureSampleSlots(1);
-  sp.OnSampleBegin(0);
-  {
-    // First pass sizes the producer cache and slab; keep it out of the
-    // timed loop (it happens once per run, at warm-up).
-    common::PipelineStageScope stage;
-    sp.OnSampleStage(0, 0, 0, 0, n);
-  }
+  if (!p.OnSample(0).ok()) state.SkipWithError("sample phase failed");
+  // First pass sizes the producer cache and staging arrays; keep it out of
+  // the timed loop (it happens once per run, at warm-up).
+  p.OnSampleShard(0, /*shard=*/0, 0, n);
   const uint64_t allocs_before = allocaudit::Count();
   int cycle = 1;
-  for (auto _ : state) {
-    common::PipelineStageScope stage;
-    sp.OnSampleStage(cycle++, 0, 0, 0, n);
-  }
+  for (auto _ : state) p.OnSampleShard(cycle++, /*shard=*/0, 0, n);
   state.counters["allocs_per_cycle"] = benchmark::Counter(
       static_cast<double>(allocaudit::Count() - allocs_before) /
       static_cast<double>(state.iterations()));

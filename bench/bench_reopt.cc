@@ -17,7 +17,7 @@
 //
 // Output: console summary + BENCH_reopt.json (tail bytes/cycle for both
 // configurations, migration counts) for the perf trajectory, plus the
-// ASPEN_STATS_OUT determinism digest the CI shard/pipeline gate diffs.
+// ASPEN_STATS_OUT determinism digest the CI shard-count gate diffs.
 //
 // `--smoke` shrinks the run for CI (same topology, shorter phases).
 
@@ -128,11 +128,10 @@ int Main(int argc, char** argv) {
   Phases ph;
   ph.pre = smoke ? 30 : 60;
   ph.adapt = smoke ? 60 : 120;
-  ph.tail = benchutil::CyclesFromEnv(smoke ? 40 : 200);
-  const int interval = []() {
-    int v = benchutil::ReoptFromEnv();
-    return v > 0 ? v : 10;
-  }();
+  ph.tail = benchutil::FromEnv(benchutil::Env::kCycles, smoke ? 40 : 200);
+  // ASPEN_REOPT unset or 0 measures the default period.
+  const int env_interval = benchutil::FromEnv(benchutil::Env::kReopt, 0);
+  const int interval = env_interval > 0 ? env_interval : 10;
 
   benchutil::PrintHeader(
       "bench_reopt",
@@ -150,7 +149,6 @@ int Main(int argc, char** argv) {
 
   std::printf("nodes                 %d\n", topo.num_nodes());
   std::printf("shards                %d\n", knobs.shards);
-  std::printf("pipeline depth        %d\n", knobs.pipeline_depth);
   std::printf("reopt interval        %d cycles (33%% divergence trigger)\n",
               interval);
   std::printf("shift                 cycle %d: sigma %.2f:%.2f -> %.2f:%.2f\n",
@@ -181,11 +179,9 @@ int Main(int argc, char** argv) {
 
   benchutil::JsonReport report("BENCH_reopt.json", /*merge=*/true);
   char config[64];
-  std::snprintf(config, sizeof(config), "reopt_s%d_p%d", knobs.shards,
-                knobs.pipeline_depth);
+  std::snprintf(config, sizeof(config), "reopt_s%d", knobs.shards);
   for (const char* entry : {"reopt", static_cast<const char*>(config)}) {
     report.Add(entry, "shards", knobs.shards);
-    report.Add(entry, "pipeline_depth", knobs.pipeline_depth);
     report.Add(entry, "frozen_tail_bytes_per_cycle", frozen_per_cycle);
     report.Add(entry, "reopt_tail_bytes_per_cycle", reopt_per_cycle);
     report.Add(entry, "tail_ratio", reopt_per_cycle / frozen_per_cycle);
@@ -198,8 +194,8 @@ int Main(int argc, char** argv) {
   }
   report.Write();
 
-  // Deterministic subset for the CI shard/pipeline gate: every quantity
-  // here must be byte-identical across ASPEN_SHARDS and ASPEN_PIPELINE.
+  // Deterministic subset for the CI shard-count gate: every quantity here
+  // must be byte-identical across ASPEN_SHARDS.
   benchutil::DeterminismLog det;
   if (det.enabled()) {
     det.Add("frozen_results", frozen.results);

@@ -36,7 +36,7 @@ struct Fingerprint {
 
 int main() {
   PrintHeader("Scenario sweep", "Node churn x loss drift (pairwise vs MPO)");
-  const int cycles = CyclesFromEnv(100);
+  const int cycles = FromEnv(Env::kCycles, 100);
   const uint64_t seed = 7;
   net::Topology topo = PaperTopology(42);
   workload::SelectivityParams sel{0.5, 0.5, 0.2};

@@ -46,9 +46,10 @@ int Main(int argc, char** argv) {
   const int churn_start = smoke ? 10 : 40;
   const int num_pairs = smoke ? 40 : 200;
   const int settle_cycles = smoke ? 6 : 80;
-  const int tail_cycles = benchutil::CyclesFromEnv(smoke ? 10 : 100);
-  const int shards = benchutil::ShardsFromEnv();
-  const int pipeline = benchutil::PipelineFromEnv();
+  const int tail_cycles =
+      benchutil::FromEnv(benchutil::Env::kCycles, smoke ? 10 : 100);
+  const common::RunKnobs env_knobs = benchutil::KnobsFromEnv();
+  const int shards = env_knobs.shards;
 
   benchutil::PrintHeader(
       "bench_service_churn",
@@ -93,12 +94,11 @@ int Main(int argc, char** argv) {
   opts.executor.assumed = sel;
   opts.executor.mesh_mode = true;
   opts.medium.knobs.shards = shards;
-  opts.medium.knobs.pipeline_depth = pipeline;
   // ASPEN_TREE_MODE=shared runs the whole churn scenario with shared
   // Steiner trees and cross-query placement sharing, so every departure
   // wave exercises owner hand-off (DetachShared promotion) under the
   // same leak and determinism gates.
-  opts.executor.knobs.tree_mode = benchutil::TreeModeFromEnv();
+  opts.executor.knobs.tree_mode = env_knobs.tree_mode;
   opts.medium.knobs.tree_mode = opts.executor.knobs.tree_mode;
   opts.dynamics = &full;
 
@@ -184,7 +184,6 @@ int Main(int argc, char** argv) {
 
   std::printf("nodes                 %d\n", topo.num_nodes());
   std::printf("shards                %d\n", shards);
-  std::printf("pipeline depth        %d\n", pipeline);
   std::printf("cycles                %d (churn+settle) + %d steady tail\n",
               churn_horizon + settle_cycles, tail_cycles);
   std::printf("query events          %d arrivals, %d departures "
@@ -208,7 +207,6 @@ int Main(int argc, char** argv) {
   benchutil::JsonReport report("BENCH_service_churn.json");
   report.Add("service_churn", "nodes", topo.num_nodes());
   report.Add("service_churn", "shards", shards);
-  report.Add("service_churn", "pipeline_depth", pipeline);
   report.Add("service_churn", "arrivals", stats.arrivals);
   report.Add("service_churn", "departures", stats.departures);
   report.Add("service_churn", "steady_cycles_per_sec", tail_cycles_per_sec);

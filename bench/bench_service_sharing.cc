@@ -17,7 +17,7 @@
 //   - the shared-mode steady tail allocates nothing (same exemption as
 //     bench_service_churn: one slab step per shard);
 //   - with ASPEN_STATS_OUT set, a deterministic digest covering both modes
-//     for the shards {1,4} x pipeline-depth {1,2,3} determinism matrix.
+//     for the shard-count determinism matrix.
 //
 // `--smoke` shrinks the mesh and population for CI.
 
@@ -49,7 +49,7 @@ struct ModeRun {
 ModeRun RunMode(const net::Topology& topo,
                 const std::vector<workload::Workload>& templates,
                 common::TreeMode mode, int copies, int settle_cycles,
-                int tail_cycles, int shards, int pipeline) {
+                int tail_cycles, int shards) {
   workload::SelectivityParams sel{0.5, 0.5, 0.2};
   join::ExecutorOptions eopts;
   eopts.algorithm = join::Algorithm::kInnet;
@@ -59,7 +59,6 @@ ModeRun RunMode(const net::Topology& topo,
   eopts.knobs.tree_mode = mode;
   join::MediumOptions mopts;
   mopts.knobs.shards = shards;
-  mopts.knobs.pipeline_depth = pipeline;
   mopts.knobs.tree_mode = mode;
 
   join::SharedMedium medium(&topo, {}, mopts);
@@ -114,9 +113,9 @@ int Main(int argc, char** argv) {
   const int copies = smoke ? 2 : 4;
   const int num_pairs = smoke ? 20 : 60;
   const int settle_cycles = smoke ? 10 : 110;
-  const int tail_cycles = benchutil::CyclesFromEnv(smoke ? 10 : 60);
-  const int shards = benchutil::ShardsFromEnv();
-  const int pipeline = benchutil::PipelineFromEnv();
+  const int tail_cycles =
+      benchutil::FromEnv(benchutil::Env::kCycles, smoke ? 10 : 60);
+  const int shards = benchutil::FromEnv(benchutil::Env::kShards, 1);
 
   benchutil::PrintHeader(
       "bench_service_sharing",
@@ -134,10 +133,10 @@ int Main(int argc, char** argv) {
 
   ModeRun per_source =
       RunMode(topo, templates, common::TreeMode::kPerSource, copies,
-              settle_cycles, tail_cycles, shards, pipeline);
+              settle_cycles, tail_cycles, shards);
   ModeRun shared =
       RunMode(topo, templates, common::TreeMode::kShared, copies,
-              settle_cycles, tail_cycles, shards, pipeline);
+              settle_cycles, tail_cycles, shards);
 
   // ---- gates ----------------------------------------------------------------
   int failures = 0;
@@ -177,7 +176,7 @@ int Main(int argc, char** argv) {
   std::printf("nodes                 %d\n", topo.num_nodes());
   std::printf("queries               %zu (%d templates x %d copies)\n",
               per_source.results.size(), num_templates, copies);
-  std::printf("shards / pipeline     %d / %d\n", shards, pipeline);
+  std::printf("shards                %d\n", shards);
   std::printf("cycles                %d settle + %d tail, per mode\n",
               settle_cycles, tail_cycles);
   std::printf("results per mode      %llu (identical per query: %s)\n",
@@ -200,7 +199,6 @@ int Main(int argc, char** argv) {
   report.Add("service_sharing", "queries",
              static_cast<double>(per_source.results.size()));
   report.Add("service_sharing", "shards", shards);
-  report.Add("service_sharing", "pipeline_depth", pipeline);
   report.Add("service_sharing", "per_source_tail_bytes_per_cycle",
              per_source.tail_bytes_per_cycle);
   report.Add("service_sharing", "shared_tail_bytes_per_cycle",
@@ -212,7 +210,7 @@ int Main(int argc, char** argv) {
              static_cast<double>(total_results));
   report.Write();
 
-  // Deterministic digest across the shards x pipeline-depth matrix: both
+  // Deterministic digest across the shard-count matrix: both
   // modes' per-query results and traffic fingerprints (timing excluded).
   benchutil::DeterminismLog det;
   if (det.enabled()) {

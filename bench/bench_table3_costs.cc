@@ -19,7 +19,7 @@ int main() {
   PrintHeader("Table 3", "Analytic vs simulated computation cost (Query 1)");
   net::Topology topo = PaperTopology();
   workload::SelectivityParams sel{0.5, 0.5, 0.2};
-  const int cycles = CyclesFromEnv(200);
+  const int cycles = FromEnv(Env::kCycles, 200);
   auto tree = routing::RoutingTree::Build(topo, 0);
 
   auto wl = OrDie(workload::Workload::MakeQuery1(&topo, sel, 3, 7));

@@ -7,6 +7,8 @@
 #ifndef ASPEN_BENCH_BENCH_UTIL_H_
 #define ASPEN_BENCH_BENCH_UTIL_H_
 
+#include <cerrno>
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -70,81 +72,77 @@ inline std::vector<AlgoSpec> Figure2Algos() {
   };
 }
 
-inline int RunsFromEnv(int default_runs = 5) {
-  const char* env = std::getenv("ASPEN_BENCH_RUNS");
-  if (env != nullptr) {
-    int v = std::atoi(env);
-    if (v > 0) return v;
-  }
-  return default_runs;
+// ---- environment -------------------------------------------------------------
+//
+// Every environment variable a bench reads as a setting, in one table. A
+// set variable must parse completely — an integer no smaller than its
+// minimum, or one of its words — or the bench exits with status 2 naming
+// the variable; an unset or empty variable takes the caller's default.
+// (ASPEN_STATS_OUT, a file path, is read by DeterminismLog below.)
+
+enum class Env {
+  kRuns,      ///< ASPEN_BENCH_RUNS: repetitions per configuration
+  kCycles,    ///< ASPEN_BENCH_CYCLES: sampling cycles per run
+  kShards,    ///< ASPEN_SHARDS: RunKnobs::shards
+  kReopt,     ///< ASPEN_REOPT: RunKnobs::reopt_interval (0 = off)
+  kTreeMode,  ///< ASPEN_TREE_MODE: per_source | shared
+};
+
+struct EnvSpec {
+  const char* name;
+  int min;
+  /// Word-valued variables: the accepted words, parsed to their index.
+  std::vector<const char*> words;
+};
+
+inline const EnvSpec& SpecOf(Env var) {
+  static const EnvSpec kSpecs[] = {
+      {"ASPEN_BENCH_RUNS", 1, {}},
+      {"ASPEN_BENCH_CYCLES", 1, {}},
+      {"ASPEN_SHARDS", 1, {}},
+      {"ASPEN_REOPT", 0, {}},
+      {"ASPEN_TREE_MODE", 0, {"per_source", "shared"}},
+  };
+  return kSpecs[static_cast<int>(var)];
 }
 
-inline int CyclesFromEnv(int default_cycles) {
-  const char* env = std::getenv("ASPEN_BENCH_CYCLES");
-  if (env != nullptr) {
-    int v = std::atoi(env);
-    if (v > 0) return v;
+/// The value of `var`, or `default_value` when it is unset or empty.
+inline int FromEnv(Env var, int default_value) {
+  const EnvSpec& spec = SpecOf(var);
+  const char* text = std::getenv(spec.name);
+  if (text == nullptr || *text == '\0') return default_value;
+  if (!spec.words.empty()) {
+    std::string expected;
+    for (size_t i = 0; i < spec.words.size(); ++i) {
+      if (std::strcmp(text, spec.words[i]) == 0) return static_cast<int>(i);
+      expected += (i == 0 ? "" : " | ") + std::string(spec.words[i]);
+    }
+    std::fprintf(stderr, "fatal: %s=%s: expected %s\n", spec.name, text,
+                 expected.c_str());
+    std::exit(2);
   }
-  return default_cycles;
-}
-
-/// Shard count for every executor a bench builds (ASPEN_SHARDS, default 1).
-/// The CI determinism gate runs each gated bench at ASPEN_SHARDS=1 and =4
-/// and fails on any byte difference in the deterministic outputs.
-inline int ShardsFromEnv() {
-  const char* env = std::getenv("ASPEN_SHARDS");
-  if (env != nullptr) {
-    int v = std::atoi(env);
-    if (v > 0) return v;
+  errno = 0;
+  char* end = nullptr;
+  const long v = std::strtol(text, &end, 10);
+  if (end == text || *end != '\0' || errno == ERANGE || v < spec.min ||
+      v > INT_MAX) {
+    std::fprintf(stderr, "fatal: %s=%s: expected an integer >= %d\n",
+                 spec.name, text, spec.min);
+    std::exit(2);
   }
-  return 1;
-}
-
-/// Pipeline depth for every executor a bench builds (ASPEN_PIPELINE,
-/// default 1 = no cross-cycle overlap). The determinism gate also sweeps
-/// this knob: results are byte-identical for every depth.
-inline int PipelineFromEnv() {
-  const char* env = std::getenv("ASPEN_PIPELINE");
-  if (env != nullptr) {
-    int v = std::atoi(env);
-    if (v > 0) return v;
-  }
-  return 1;
-}
-
-/// Re-optimization interval for benches that exercise the continuous
-/// re-optimization loop (ASPEN_REOPT, in sampling cycles; default 0 =
-/// disabled, the historical frozen-placement behavior).
-inline int ReoptFromEnv() {
-  const char* env = std::getenv("ASPEN_REOPT");
-  if (env != nullptr) {
-    int v = std::atoi(env);
-    if (v > 0) return v;
-  }
-  return 0;
-}
-
-/// Multicast tree policy (ASPEN_TREE_MODE: "shared" | "per_source",
-/// default per_source). The determinism gate also sweeps this knob:
-/// shared-mode runs are byte-identical across shards and pipeline depth,
-/// just against their own shared baseline.
-inline common::TreeMode TreeModeFromEnv() {
-  const char* env = std::getenv("ASPEN_TREE_MODE");
-  if (env != nullptr && std::strcmp(env, "shared") == 0) {
-    return common::TreeMode::kShared;
-  }
-  return common::TreeMode::kPerSource;
+  return static_cast<int>(v);
 }
 
 /// The one place bench binaries resolve the run-shape environment:
-/// ASPEN_SHARDS, ASPEN_PIPELINE, ASPEN_REOPT and ASPEN_TREE_MODE compose
-/// into the RunKnobs every ExecutorOptions / MediumOptions embeds.
+/// ASPEN_SHARDS, ASPEN_REOPT and ASPEN_TREE_MODE compose into the RunKnobs
+/// every ExecutorOptions / MediumOptions embeds.
 inline common::RunKnobs KnobsFromEnv() {
   common::RunKnobs knobs;
-  knobs.shards = ShardsFromEnv();
-  knobs.pipeline_depth = PipelineFromEnv();
-  knobs.reopt_interval = ReoptFromEnv();
-  knobs.tree_mode = TreeModeFromEnv();
+  knobs.shards = FromEnv(Env::kShards, knobs.shards);
+  knobs.reopt_interval = FromEnv(Env::kReopt, knobs.reopt_interval);
+  knobs.tree_mode = FromEnv(Env::kTreeMode, 0) == 1
+                        ? common::TreeMode::kShared
+                        : common::TreeMode::kPerSource;
   return knobs;
 }
 
@@ -204,7 +202,7 @@ inline void PrintHeader(const char* figure, const char* what) {
 ///
 /// With `merge` set, an existing report at `path` (in this class's own
 /// format) is loaded first, so several bench invocations — e.g. one CI
-/// matrix run per (shards, pipeline) configuration — accumulate into one
+/// matrix run per shard count — accumulate into one
 /// file instead of clobbering each other. Add() replaces the value of a
 /// metric that is already present, keeping re-runs idempotent.
 class JsonReport {

@@ -23,7 +23,7 @@ using TrueFactory = std::function<Result<workload::Workload>(
 inline void RunEstimateMatrix(const TrueFactory& factory,
                               const AlgoSpec& algo, double sigma_st,
                               int cycles, bool learning) {
-  const int runs = RunsFromEnv(3);
+  const int runs = FromEnv(Env::kRuns, 3);
   std::vector<std::string> headers{"true \\ assumed"};
   for (const auto& a : Ratios()) headers.push_back(a.label);
   core::Table table(headers);

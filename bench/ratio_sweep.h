@@ -19,7 +19,7 @@ using SweepFactory = std::function<Result<workload::Workload>(
 /// base-station load). In mesh mode the unit is messages (Appendix F);
 /// otherwise bytes.
 inline void RunRatioSweep(const SweepFactory& factory, int cycles, bool mesh) {
-  const int runs = RunsFromEnv();
+  const int runs = FromEnv(Env::kRuns, 5);
   const auto algos = Figure2Algos();
 
   std::vector<std::string> headers{"sigma_s:sigma_t", "sigma_st"};

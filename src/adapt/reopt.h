@@ -10,7 +10,7 @@
 // pass. The executor consumes it from the scheduler's sequential
 // re-optimize hook (sim::CycleParticipant::OnReoptimize), so every decision
 // is made in the exchange phase with nothing in flight — which is what
-// keeps migrations byte-identical across shard counts and pipeline depths.
+// keeps migrations byte-identical across shard counts.
 
 #ifndef ASPEN_ADAPT_REOPT_H_
 #define ASPEN_ADAPT_REOPT_H_

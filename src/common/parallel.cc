@@ -6,8 +6,6 @@
 #include <thread>
 #include <vector>
 
-#include "common/logging.h"
-
 namespace aspen {
 namespace common {
 
@@ -95,7 +93,6 @@ void WorkerPool::WorkerLoop() {
 }
 
 void WorkerPool::Run(int n, const std::function<void(int)>& fn) {
-  ASPEN_CHECK(!dispatched_);
   if (n <= 0) return;
   if (threads_.empty() || n == 1) {
     // Inline path: exceptions propagate to the caller naturally, but later
@@ -130,48 +127,6 @@ void WorkerPool::Run(int n, const std::function<void(int)>& fn) {
       RecordError();
     }
   }
-  std::exception_ptr err;
-  {
-    MutexLock lock(&mu_);
-    while (inflight_workers_ != 0) job_done_.Wait(&mu_);
-    job_ = nullptr;
-    err = first_error_;
-    first_error_ = nullptr;
-  }
-  if (err) std::rethrow_exception(err);
-}
-
-void WorkerPool::Dispatch(int n, const std::function<void(int)>& fn) {
-  ASPEN_CHECK(!dispatched_);
-  dispatched_ = true;
-  if (n <= 0) return;
-  if (threads_.empty()) {
-    // Inline fallback: the whole job runs here (no overlap is possible),
-    // recording instead of throwing so the first error still surfaces at
-    // the Wait() boundary like the worker path.
-    for (int i = 0; i < n; ++i) {
-      try {
-        fn(i);
-      } catch (...) {
-        RecordError();
-      }
-    }
-    return;
-  }
-  {
-    MutexLock lock(&mu_);
-    job_ = &fn;
-    job_size_ = n;
-    next_index_.store(0, std::memory_order_relaxed);
-    inflight_workers_ = static_cast<int>(threads_.size());
-    ++generation_;
-  }
-  job_ready_.NotifyAll();
-}
-
-void WorkerPool::Wait() {
-  if (!dispatched_) return;
-  dispatched_ = false;
   std::exception_ptr err;
   {
     MutexLock lock(&mu_);

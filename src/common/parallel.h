@@ -52,32 +52,13 @@ class WorkerPool {
 
   /// Invokes `fn(i)` for every i in [0, n); the caller participates, so all
   /// n indices complete even with zero workers. Blocks until done. Not
-  /// reentrant; only one Run() may be active at a time, and never while a
-  /// Dispatch() is outstanding.
+  /// reentrant; only one Run() may be active at a time.
   ///
   /// Exception contract: a throwing fn(i) does not abort the job — every
   /// index still runs (the sharded kernel's phase barriers assume full
   /// coverage) — and the first exception recorded is rethrown on the
   /// caller's thread after the join, leaving the pool reusable.
   void Run(int n, const std::function<void(int)>& fn);
-
-  /// \brief Starts `fn(i)` for every i in [0, n) on the worker threads and
-  /// returns immediately; the caller does NOT participate and is free to do
-  /// unrelated work until Wait(). `fn` is borrowed (never copied) and must
-  /// stay alive and unmodified until Wait() returns. At most one dispatched
-  /// job may be outstanding, and Run() may not be called while one is.
-  ///
-  /// With zero workers the job runs inline here (Dispatch() then blocks for
-  /// its duration) so the Dispatch/Wait pair still covers every index —
-  /// same observable contract, no overlap.
-  void Dispatch(int n, const std::function<void(int)>& fn);
-
-  /// \brief Blocks until the job started by the last Dispatch() completes,
-  /// then rethrows the first exception any index recorded — exactly Run()'s
-  /// exception contract, surfaced at the Wait() boundary. The pool is
-  /// reusable (Run() or Dispatch()) afterwards. No-op when no dispatched
-  /// job is outstanding.
-  void Wait();
 
   int num_workers() const { return static_cast<int>(threads_.size()); }
 
@@ -98,8 +79,6 @@ class WorkerPool {
   std::atomic<int> next_index_{0};
   int inflight_workers_ ASPEN_GUARDED_BY(mu_) = 0;
   bool shutdown_ ASPEN_GUARDED_BY(mu_) = false;
-  /// True between Dispatch() and Wait(). Touched by the owning thread only.
-  bool dispatched_ = false;
   std::exception_ptr first_error_ ASPEN_GUARDED_BY(mu_);
   std::vector<std::thread> threads_;  // written by ctor/dtor only
 };

@@ -8,7 +8,7 @@
 // Every mutation-layer function is declared ASPEN_REQUIRES_SEQUENTIAL; the
 // sequential entry points (scheduler commit hooks, handler dispatch, test
 // bodies driving the network directly) open a SequentialPhaseScope. Shard
-// hooks (OnSampleStage / OnDeliverShard / ComputeShard) never hold the
+// hooks (OnSampleShard / OnDeliverShard / ComputeShard) never hold the
 // capability, so calling an exchange-only mutator from a shard hook fails
 // to compile under clang -Wthread-safety (-Werror).
 //
@@ -51,38 +51,6 @@ class ASPEN_SCOPED_CAPABILITY SequentialPhaseScope {
   SequentialPhaseScope& operator=(const SequentialPhaseScope&) = delete;
 };
 
-/// Phantom capability representing "this thread is executing the overlapped
-/// pure sample stage" (pipelined cross-cycle execution: cycle N+1's sample
-/// staging while cycle N's transmit runs). Code holding it may only read
-/// shared state that is immutable for the duration of the overlap (the
-/// workload post-WarmFilterCache, the producer caches) and write its own
-/// per-(shard, slot) slab. It is distinct from — and never held together
-/// with — kSequentialPhase, so an exchange-phase mutator called from the
-/// overlapped stage fails to compile exactly like one called from a shard
-/// hook.
-class ASPEN_CAPABILITY("pipeline stage") PipelineStage {
- public:
-  constexpr PipelineStage() = default;
-  PipelineStage(const PipelineStage&) = delete;
-  PipelineStage& operator=(const PipelineStage&) = delete;
-};
-
-/// The single global instance all annotations refer to.
-inline constexpr PipelineStage kPipelineStage{};
-
-/// RAII assertion that the current code runs the pure sample stage. Opened
-/// by the pipelined scheduler's stage workers and by the synchronous
-/// fallback immediately around the stage call — never inside sequential
-/// mutators. Zero-cost, like SequentialPhaseScope.
-class ASPEN_SCOPED_CAPABILITY PipelineStageScope {
- public:
-  PipelineStageScope() ASPEN_ACQUIRE(kPipelineStage) {}
-  ~PipelineStageScope() ASPEN_RELEASE() {}
-
-  PipelineStageScope(const PipelineStageScope&) = delete;
-  PipelineStageScope& operator=(const PipelineStageScope&) = delete;
-};
-
 }  // namespace common
 }  // namespace aspen
 
@@ -94,13 +62,5 @@ class ASPEN_SCOPED_CAPABILITY PipelineStageScope {
 /// Data members that only the sequential phase may touch.
 #define ASPEN_GUARDED_BY_SEQUENTIAL \
   ASPEN_GUARDED_BY(::aspen::common::kSequentialPhase)
-
-/// Declares a pure sample-stage function: callable only while the pipeline
-/// capability is held (stage workers / the synchronous fallback), and never
-/// while the sequential capability is — so the overlapped stage provably
-/// cannot reach an exchange-phase mutator.
-#define ASPEN_REQUIRES_PIPELINE               \
-  ASPEN_REQUIRES(::aspen::common::kPipelineStage) \
-      ASPEN_EXCLUDES(::aspen::common::kSequentialPhase)
 
 #endif  // ASPEN_COMMON_PHASE_H_

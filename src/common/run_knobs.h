@@ -2,13 +2,11 @@
 //
 // ExecutorOptions (one query on an owned network), MediumOptions (a shared
 // medium hosting many queries) and, transitively, core::ExperimentOptions /
-// core::ServiceOptions used to re-declare the same knobs — shard count,
-// pipeline depth, sampling clock — with subtly independent defaults. They
-// now all embed one RunKnobs, so a knob exists in exactly one place, the
-// env-variable parsing lives in exactly one bench helper
-// (benchutil::KnobsFromEnv: ASPEN_SHARDS / ASPEN_PIPELINE / ASPEN_REOPT),
-// and new run-wide knobs (the re-optimization interval below) are added
-// once instead of three times.
+// core::ServiceOptions embed one RunKnobs, so a knob — shard count,
+// sampling clock, re-optimization period, tree mode — exists in exactly one
+// place, and the bench binaries resolve it from the environment in exactly
+// one helper (benchutil::KnobsFromEnv: ASPEN_SHARDS / ASPEN_REOPT /
+// ASPEN_TREE_MODE).
 
 #ifndef ASPEN_COMMON_RUN_KNOBS_H_
 #define ASPEN_COMMON_RUN_KNOBS_H_
@@ -35,13 +33,9 @@ struct RunKnobs {
   /// Spatial shard count: K > 1 partitions the node space into K contiguous
   /// id ranges, each stepped by its own worker thread, with cross-shard
   /// effects merged in canonical content order — observable output is
-  /// byte-identical for every K (DESIGN.md "Sharded execution").
+  /// byte-identical for every K (DESIGN.md "Sharded execution"). The
+  /// scheduler clamps the count to [1, node count].
   int shards = 1;
-
-  /// Cross-cycle pipeline depth: D > 1 overlaps the pure sample stages of
-  /// cycles N+1..N+D-1 with cycle N's transmit on a dedicated stage pool,
-  /// byte-identical at every depth (DESIGN.md "Pipelined execution").
-  int pipeline_depth = 1;
 
   /// Transmission cycles per sampling cycle — the sampling clock of a
   /// shared medium's scheduler. Every query admitted to a medium must

@@ -243,9 +243,7 @@ Result<AggregatedStats> RunAveraged(const WorkloadFactory& factory,
   // shard count to keep the total near the hardware concurrency. (The
   // result is unaffected: both levels are bit-deterministic.)
   if (num_threads <= 0) num_threads = common::DefaultThreadCount();
-  int footprint = std::max(1, options.executor.knobs.shards);
-  // A pipelined run adds a stage pool of the same width as the shard pool.
-  if (options.executor.knobs.pipeline_depth > 1) footprint *= 2;
+  const int footprint = std::max(1, options.executor.knobs.shards);
   if (footprint > 1) {
     num_threads = std::max(1, num_threads / footprint);
   }

@@ -5,7 +5,6 @@
 
 #include "common/logging.h"
 #include "join/medium.h"
-#include "sim/sharded_scheduler.h"
 
 namespace aspen {
 namespace join {
@@ -65,15 +64,9 @@ JoinExecutor::JoinExecutor(const workload::Workload* workload,
         OnSnoop(m, snooper, from, to);
       });
   const int interval = workload_->join_query().window.sample_interval;
-  if (opts_.knobs.shards > 1 || opts_.knobs.pipeline_depth > 1) {
-    auto sharded = std::make_unique<sim::ShardedScheduler>(
-        net_, interval, opts_.knobs.shards, opts_.knobs.pipeline_depth);
-    scratch_.resize(sharded->num_shards());
-    sched_ = std::move(sharded);
-  } else {
-    sched_ = std::make_unique<sim::CycleScheduler>(net_, interval);
-    scratch_.resize(1);
-  }
+  sched_ = std::make_unique<sim::CycleScheduler>(net_, interval,
+                                                 opts_.knobs.shards);
+  scratch_.resize(sched_->num_shards());
   sched_->Attach(this);
   reopt_ = adapt::ReoptController(opts_.knobs.reopt_interval,
                                   opts_.knobs.reopt_threshold);
@@ -86,17 +79,15 @@ JoinExecutor::JoinExecutor(const workload::Workload* workload,
 
 JoinExecutor::JoinExecutor(const workload::Workload* workload,
                            ExecutorOptions options,
-                           net::Network* shared_network, int query_id,
-                           int shards)
+                           net::Network* shared_network, int query_id)
     : workload_(workload),
       opts_(options),
       net_(shared_network),
       query_id_(query_id) {
   ASPEN_CHECK(shared_network != nullptr);
   ASPEN_CHECK(&shared_network->topology() == &workload->topology());
-  ASPEN_CHECK(shards >= 1);
-  // Scratch matches the medium scheduler's shard count (1 = unsharded).
-  scratch_.resize(shards);
+  // The medium's scheduler partitioned the network at construction.
+  scratch_.resize(net_->num_shards());
   reopt_ = adapt::ReoptController(opts_.knobs.reopt_interval,
                                   opts_.knobs.reopt_threshold);
   data_pool_ = net_->payloads().GetOrCreate<DataPayload>(kPayloadTagData);
@@ -609,8 +600,12 @@ void JoinExecutor::RebuildSendPlans() {
   }
 }
 
-void JoinExecutor::OnSampleBegin(int cycle) {
-  // Begin/Commit hooks run on the scheduler thread between shard passes.
+Status JoinExecutor::OnSample(int cycle) {
+  if (!initiated_) {
+    return Status::FailedPrecondition("sample phase before Initiate");
+  }
+  // OnSample and the commits run on the scheduler thread around the shard
+  // passes.
   common::SequentialPhaseScope seq;
   cycle_ = cycle;
   RetryPendingReplays();
@@ -618,6 +613,7 @@ void JoinExecutor::OnSampleBegin(int cycle) {
   // The shard passes call PassS/TFilter concurrently; warming here (after
   // any between-cycle parameter mutation) makes those calls read-only.
   workload_->WarmFilterCache();
+  return Status::OK();
 }
 
 void JoinExecutor::BuildProducerCache(ShardScratch* sc, NodeId begin,
@@ -639,20 +635,17 @@ void JoinExecutor::BuildProducerCache(ShardScratch* sc, NodeId begin,
     sc->producer_roles.push_back(static_cast<uint8_t>((s_role ? 1 : 0) |
                                                       (t_role ? 2 : 0)));
   }
-  // Pre-size every slab of the ring for the worst case (every producer
-  // passes both filters) so the steady-state sample stage never allocates;
-  // warming the tuples to full width gives every slot its capacity up
-  // front.
+  // Pre-size the staging arrays for the worst case (every producer passes
+  // both filters) so the steady-state sample pass never allocates; warming
+  // the tuples to full width gives every slot its capacity up front.
   const size_t cap = sc->producer_ids.size();
-  for (SampleSlab& slab : sc->slabs) {
-    slab.s_bits.assign((cap + 63) / 64, 0ULL);
-    slab.t_bits.assign((cap + 63) / 64, 0ULL);
-    slab.staged_ids.resize(cap);
-    slab.staged_flags.resize(cap);
-    slab.staged_tuples.resize(cap);
-    for (query::Tuple& t : slab.staged_tuples) t.resize(query::kNumAttrs);
-    slab.staged_count = 0;
-  }
+  sc->s_bits.assign((cap + 63) / 64, 0ULL);
+  sc->t_bits.assign((cap + 63) / 64, 0ULL);
+  sc->staged_ids.resize(cap);
+  sc->staged_flags.resize(cap);
+  sc->staged_tuples.resize(cap);
+  for (query::Tuple& t : sc->staged_tuples) t.resize(query::kNumAttrs);
+  sc->staged_count = 0;
   // Deliver-phase staging for the same shard: each pair applies at most
   // one arrival per role per sampling cycle, with 2x slack for multi-hop
   // deliveries straddling a phase.
@@ -660,75 +653,57 @@ void JoinExecutor::BuildProducerCache(ShardScratch* sc, NodeId begin,
   sc->touched_sites.reserve(4 * pairs_.size());
 }
 
-void JoinExecutor::ConfigureSampleSlots(int slots) {
-  if (slots == sample_slots_) return;
-  ASPEN_CHECK(slots >= 1);
-  sample_slots_ = slots;
-  for (ShardScratch& sc : scratch_) {
-    sc.slabs.resize(static_cast<size_t>(slots));
-    // Invalidate so the next (synchronous) stage pass re-sizes every slab
-    // of the new ring through BuildProducerCache.
-    sc.cached_begin = -1;
-    sc.cached_end = -1;
-  }
-}
-
-void JoinExecutor::OnSampleStage(int cycle, int slot, int shard, NodeId begin,
+void JoinExecutor::OnSampleShard(int cycle, int shard, NodeId begin,
                                  NodeId end) {
   // Pure per-node work: batched filters and sampling of the passing
-  // producers into the slab named by `slot`. Sampling is a pure function of
-  // (node, cycle, seed) and the filter cache is warm (OnSampleBegin), so
-  // this reads nothing that mutates during a cycle and writes nothing but
-  // the slab — a pipelined scheduler may run it for a future cycle while
-  // the current cycle's transmit is in flight. Submissions, failed-node
-  // filtering and the producer-local last-w buffers happen at commit, in
-  // node order, so the network sees the identical stream for any shard
-  // count and pipeline depth. Filters run before sampling — the filter
-  // verdict only depends on the u draw, which PassFilters recomputes
-  // bit-identically — so non-senders cost one hash instead of a full tuple
-  // materialization.
+  // producers into the shard's scratch. Sampling is a pure function of
+  // (node, cycle, seed) and the filter cache is warm (OnSample), so this
+  // reads nothing another shard writes. Submissions, failed-node filtering
+  // and the producer-local last-w buffers happen at commit, in node order,
+  // so the network sees the identical stream for any shard count. Filters
+  // run before sampling — the filter verdict only depends on the u draw,
+  // which PassFilters recomputes bit-identically — so non-senders cost one
+  // hash instead of a full tuple materialization.
   ShardScratch& sc = scratch_[shard];
   if (sc.cached_begin != begin || sc.cached_end != end) {
     BuildProducerCache(&sc, begin, end);
   }
-  SampleSlab& slab = sc.slabs[static_cast<size_t>(slot)];
-  slab.staged_count = 0;
+  sc.staged_count = 0;
   const int num_producers = static_cast<int>(sc.producer_ids.size());
   if (num_producers == 0) return;
   workload_->PassFilters(sc.producer_ids.data(), num_producers, cycle,
-                         slab.s_bits.data(), slab.t_bits.data());
+                         sc.s_bits.data(), sc.t_bits.data());
   for (int i = 0; i < num_producers; ++i) {
     const uint8_t roles = sc.producer_roles[i];
     const uint64_t word_bit = 1ULL << (i & 63);
-    const bool send_s = (roles & 1) && (slab.s_bits[i >> 6] & word_bit);
-    const bool send_t = (roles & 2) && (slab.t_bits[i >> 6] & word_bit);
+    const bool send_s = (roles & 1) && (sc.s_bits[i >> 6] & word_bit);
+    const bool send_t = (roles & 2) && (sc.t_bits[i >> 6] & word_bit);
     if (!send_s && !send_t) continue;
-    slab.staged_ids[slab.staged_count] = sc.producer_ids[i];
-    slab.staged_flags[slab.staged_count] =
+    sc.staged_ids[sc.staged_count] = sc.producer_ids[i];
+    sc.staged_flags[sc.staged_count] =
         static_cast<uint8_t>((send_s ? 1 : 0) | (send_t ? 2 : 0));
-    ++slab.staged_count;
+    ++sc.staged_count;
   }
-  workload_->SampleBatchInto(slab.staged_ids.data(), slab.staged_count, cycle,
-                             slab.staged_tuples.data());
+  workload_->SampleBatchInto(sc.staged_ids.data(), sc.staged_count, cycle,
+                             sc.staged_tuples.data());
 }
 
-Status JoinExecutor::OnSampleCommit(int cycle, int slot) {
+Status JoinExecutor::OnSampleCommit(int cycle) {
   common::SequentialPhaseScope seq;
   const int w = workload_->join_query().window.size;
   // Shards are contiguous ascending node ranges, so walking them in order
   // submits in exactly the node order of the unsharded loop. Failure
   // filtering happens here — after every scenario event of this cycle's
-  // sample phase, exactly where the old in-stage check observed it; a
-  // staged-but-failed producer's tuple is simply skipped (its draw consumed
-  // no shared RNG, so every other submission is unchanged).
+  // sample phase; a staged-but-failed producer's tuple is simply skipped
+  // (its draw consumed no shared RNG, so every other submission is
+  // unchanged).
   for (ShardScratch& sc : scratch_) {
-    SampleSlab& slab = sc.slabs[static_cast<size_t>(slot)];
-    for (int i = 0; i < slab.staged_count; ++i) {
-      const NodeId p = slab.staged_ids[i];
+    for (int i = 0; i < sc.staged_count; ++i) {
+      const NodeId p = sc.staged_ids[i];
       if (net_->IsFailed(p)) continue;
-      const query::Tuple& t = slab.staged_tuples[i];
-      const bool send_s = slab.staged_flags[i] & 1;
-      const bool send_t = slab.staged_flags[i] & 2;
+      const query::Tuple& t = sc.staged_tuples[i];
+      const bool send_s = sc.staged_flags[i] & 1;
+      const bool send_t = sc.staged_flags[i] & 2;
       // Producers remember their last w sent tuples per role so a join
       // window can be reconstructed at the base after a join-node failure.
       // The rings are consumed by the learn phase (SendWindowReplay), which
@@ -752,7 +727,7 @@ Status JoinExecutor::OnSampleCommit(int cycle, int slot) {
           break;
       }
     }
-    slab.staged_count = 0;
+    sc.staged_count = 0;
   }
   return Status::OK();
 }
@@ -986,8 +961,11 @@ PairState* JoinExecutor::FindState(NodeId at, const PairKey& pair) {
   return nodes_[at].FindState(pair);
 }
 
-void JoinExecutor::OnDeliverBegin(int cycle) {
+Status JoinExecutor::OnDeliver(int cycle) {
   (void)cycle;
+  if (!initiated_) {
+    return Status::FailedPrecondition("deliver phase before Initiate");
+  }
   common::SequentialPhaseScope seq;
   arrivals_.ForEach([](NodeId, std::vector<Arrival>& items) {
     // Stable insertion sort by delivery location: boxes are tiny and, unlike
@@ -1003,6 +981,7 @@ void JoinExecutor::OnDeliverBegin(int cycle) {
       items[j] = key;
     }
   });
+  return Status::OK();
 }
 
 void JoinExecutor::OnDeliverShard(int cycle, int shard, NodeId begin,
@@ -1127,38 +1106,13 @@ void JoinExecutor::EmitResults(NodeId at, const PairKey& pair, int count,
 
 // ---- kernel phases --------------------------------------------------------------
 
-Status JoinExecutor::OnSample(int cycle) {
-  if (!initiated_) {
-    return Status::FailedPrecondition("sample phase before Initiate");
-  }
-  // Begin + one full-range stage pass + commit: the sharded schedule with
-  // one shard and one slot, so sharded and sequential runs are the same
-  // code path.
-  OnSampleBegin(cycle);
-  {
-    common::PipelineStageScope stage;
-    OnSampleStage(cycle, /*slot=*/0, /*shard=*/0, 0,
-                  workload_->topology().num_nodes());
-  }
-  return OnSampleCommit(cycle, /*slot=*/0);
-}
-
-Status JoinExecutor::OnDeliver(int cycle) {
-  if (!initiated_) {
-    return Status::FailedPrecondition("deliver phase before Initiate");
-  }
-  OnDeliverBegin(cycle);
-  OnDeliverShard(cycle, /*shard=*/0, 0, workload_->topology().num_nodes());
-  return OnDeliverCommit(cycle);
-}
-
 Status JoinExecutor::OnReoptimize(int cycle) {
   (void)cycle;
   if (!initiated_ || shutdown_) return Status::OK();
   if (planned_migrations_.empty() && !reopt_.enabled()) return Status::OK();
   // Runs in the scheduler's exchange window: nothing in flight, every
-  // deliver commit applied — identical state at any shard count or
-  // pipeline depth, so the decisions below are byte-reproducible.
+  // deliver commit applied — identical state at any shard count, so the
+  // decisions below are byte-reproducible.
   common::SequentialPhaseScope seq;
   net::TrafficStats::QueryScope scope(&net_->stats(), query_id_);
   AdvancePlannedMigrations();

@@ -42,15 +42,13 @@ class SharedMedium;
 
 /// \brief Runs one join query with one algorithm over one workload.
 ///
-/// The sample and deliver phases implement the sharded split (see
-/// sim::ShardPhaseParticipant): sampling stages pure per-node work into
-/// per-shard scratch and commits the submissions in node order; delivery
-/// probes each shard's own join sites concurrently and replays deferred
-/// result emissions in canonical (side, producer, arrival, pair) order.
-/// The plain OnSample/OnDeliver hooks are exactly Begin + one full-range
-/// shard pass + Commit, so sharded and sequential runs are byte-identical.
-class JoinExecutor : public sim::CycleParticipant,
-                     public sim::ShardPhaseParticipant {
+/// The sample and deliver phases run by node range (see
+/// sim::CycleParticipant): sampling stages per-node work into per-shard
+/// scratch and commits the submissions in node order; delivery probes each
+/// shard's own join sites concurrently and replays deferred result
+/// emissions in canonical (side, producer, arrival, pair) order, so runs
+/// are byte-identical for every shard count.
+class JoinExecutor : public sim::CycleParticipant {
  public:
   /// `workload` must outlive the executor. Owns its own network and cycle
   /// scheduler.
@@ -59,11 +57,11 @@ class JoinExecutor : public sim::CycleParticipant,
   /// \brief Attaches to a shared radio medium (see SharedMedium) instead of
   /// owning a network: messages are stamped with `query_id` and the medium
   /// dispatches deliveries back. The medium's scheduler drives the cycle
-  /// phases; RunCycles is unavailable on attached executors. `shards` is
-  /// the medium scheduler's shard count (the executor sizes its per-shard
-  /// scratch to match; 1 = unsharded).
+  /// phases; RunCycles is unavailable on attached executors. The per-shard
+  /// scratch is sized from the network's partition, which the medium's
+  /// scheduler fixed at construction.
   JoinExecutor(const workload::Workload* workload, ExecutorOptions options,
-               net::Network* shared_network, int query_id, int shards = 1);
+               net::Network* shared_network, int query_id);
 
   ~JoinExecutor() override;
 
@@ -168,28 +166,25 @@ class JoinExecutor : public sim::CycleParticipant,
   };
 
   // -- kernel phases (sim::CycleParticipant) ---------------------------------
+  /// Sequential preparation of the sample shard passes (replay retries,
+  /// send-plan rebuild, filter-cache warm-up); fails before Initiate.
   Status OnSample(int cycle) override;
+  /// Batched filters + sampling of the shard's producers into its scratch.
+  /// Reads only the workload (warm) and the shard's producer cache;
+  /// failure filtering and the producer-local last-w rings happen at
+  /// commit.
+  void OnSampleShard(int cycle, int shard, net::NodeId begin,
+                     net::NodeId end) override;
+  Status OnSampleCommit(int cycle) override;
+  /// Sorts the arrival mailboxes for the deliver shard passes; fails
+  /// before Initiate.
   Status OnDeliver(int cycle) override;
-  Status OnReoptimize(int cycle) override;
-  Status OnLearn(int cycle) override;
-  sim::ShardPhaseParticipant* sharded() override { return this; }
-
-  // -- sharded phase split (sim::ShardPhaseParticipant) ----------------------
-  void ConfigureSampleSlots(int slots) override;
-  bool SampleStageReady() const override { return initiated_ && !shutdown_; }
-  void OnSampleBegin(int cycle) override;
-  /// The pure sample stage: batched filters + sampling of the shard's
-  /// producers into the (shard, slot) slab. Reads only the workload (warm)
-  /// and the shard's producer cache; failure filtering and the
-  /// producer-local last-w rings moved to commit so a pipelined scheduler
-  /// can run this for cycle N+1 during cycle N's transmit.
-  void OnSampleStage(int cycle, int slot, int shard, net::NodeId begin,
-                     net::NodeId end) ASPEN_REQUIRES_PIPELINE override;
-  Status OnSampleCommit(int cycle, int slot) override;
-  void OnDeliverBegin(int cycle) override;
   void OnDeliverShard(int cycle, int shard, net::NodeId begin,
                       net::NodeId end) override;
   Status OnDeliverCommit(int cycle) override;
+  bool node_range_phases() const override { return true; }
+  Status OnReoptimize(int cycle) override;
+  Status OnLearn(int cycle) override;
 
   // -- initiation ------------------------------------------------------------
   Status InitCommon() ASPEN_REQUIRES_SEQUENTIAL;
@@ -428,33 +423,14 @@ class JoinExecutor : public sim::CycleParticipant,
     int sample_cycle = 0;
   };
 
-  /// One slot of a shard's sample slab ring: everything one pure sample
-  /// stage pass writes. With pipeline depth D each shard holds D slabs
-  /// (slot = cycle mod D), so the stage of a future cycle and the commit
-  /// of the current one touch disjoint storage.
-  struct SampleSlab {
-    /// PassFilters output, one bit per producer_ids entry.
-    std::vector<uint64_t> s_bits, t_bits;
-    /// Staged sends: flags bit 0 = send_s, bit 1 = send_t. Failed-node
-    /// filtering happens at commit (failure state may change between a
-    /// prestage and its commit; sampling a failed producer is pure and
-    /// free of shared state, so staging it costs nothing).
-    std::vector<net::NodeId> staged_ids;
-    std::vector<uint8_t> staged_flags;
-    std::vector<query::Tuple> staged_tuples;
-    int staged_count = 0;
-  };
-
   /// Everything one shard's sample/deliver passes stage.
   ///
-  /// The sample stage runs the batched workload kernel: the shard's
+  /// The sample pass runs the batched workload kernel: the shard's
   /// producers (cached — roles are fixed once Initiate has populated the
   /// pair lists) go through Workload::PassFilters as one batch, and only
   /// the passing ones are sampled, into pre-sized tuple slots that recycle
   /// their capacity. Staged arrays are parallel (ids/flags/tuples share an
-  /// index) and submissions happen at commit, in node order. The deliver
-  /// scratch is separate from the slabs so a deliver shard pass and an
-  /// overlapped sample stage on the same shard touch disjoint fields.
+  /// index) and submissions happen at commit, in node order.
   struct ShardScratch {
     /// Producers in [cached_begin, cached_end) holding an S or T role,
     /// ascending; role bit 0 = S, bit 1 = T.
@@ -462,8 +438,14 @@ class JoinExecutor : public sim::CycleParticipant,
     std::vector<uint8_t> producer_roles;
     net::NodeId cached_begin = -1;
     net::NodeId cached_end = -1;
-    /// Sample slab ring, sized by ConfigureSampleSlots (default one slot).
-    std::vector<SampleSlab> slabs = std::vector<SampleSlab>(1);
+    /// PassFilters output, one bit per producer_ids entry.
+    std::vector<uint64_t> s_bits, t_bits;
+    /// Staged sends: flags bit 0 = send_s, bit 1 = send_t. Failed-node
+    /// filtering happens at commit, after this cycle's scenario events.
+    std::vector<net::NodeId> staged_ids;
+    std::vector<uint8_t> staged_flags;
+    std::vector<query::Tuple> staged_tuples;
+    int staged_count = 0;
     std::vector<DeferredEmit> emits;
     std::vector<net::NodeId> touched_sites;
   };
@@ -473,10 +455,8 @@ class JoinExecutor : public sim::CycleParticipant,
   void BuildProducerCache(ShardScratch* sc, net::NodeId begin,
                           net::NodeId end);
 
+  /// One entry per shard of the hosting scheduler.
   std::vector<ShardScratch> scratch_;
-  /// Slots per shard in the sample slab ring (== the hosting scheduler's
-  /// pipeline depth; 1 everywhere else).
-  int sample_slots_ = 1;
   /// Reused canonical-merge scratch for deferred emissions.
   std::vector<const DeferredEmit*> emit_merge_;
   /// Set whenever a placement mutates; the next sample phase rebuilds the

@@ -7,7 +7,6 @@
 
 #include "common/logging.h"
 #include "query/parser.h"
-#include "sim/sharded_scheduler.h"
 
 namespace aspen {
 namespace join {
@@ -20,7 +19,6 @@ SharedMedium::SharedMedium(const net::Topology* topology,
       primary_(routing::RoutingTree::Build(*topology, 0)),
       medium_opts_(medium_options) {
   ASPEN_CHECK(medium_opts_.knobs.sample_interval > 0);
-  ASPEN_CHECK(medium_opts_.knobs.shards >= 1);
   net_.set_parent_resolver(&primary_);
   // Dispatch by the dense executor table. A frame of a departed query (its
   // slot is null) terminates silently — the network still releases its
@@ -41,14 +39,8 @@ SharedMedium::SharedMedium(const net::Topology* topology,
     if (e != nullptr) e->OnSnoop(m, snooper, from, to);
   });
   // Eager scheduler: scenario drivers can attach before the first query.
-  if (medium_opts_.knobs.shards > 1 || medium_opts_.knobs.pipeline_depth > 1) {
-    sched_ = std::make_unique<sim::ShardedScheduler>(
-        &net_, medium_opts_.knobs.sample_interval, medium_opts_.knobs.shards,
-        medium_opts_.knobs.pipeline_depth);
-  } else {
-    sched_ = std::make_unique<sim::CycleScheduler>(
-        &net_, medium_opts_.knobs.sample_interval);
-  }
+  sched_ = std::make_unique<sim::CycleScheduler>(
+      &net_, medium_opts_.knobs.sample_interval, medium_opts_.knobs.shards);
   // The medium participates in its own scheduler (ahead of every query) to
   // sweep retired routes at epoch boundaries; see OnDeliver.
   sched_->Attach(this);
@@ -119,8 +111,7 @@ Result<JoinExecutor*> SharedMedium::TryAddQuery(
         "medium share the sampling clock");
   }
   const int id = AcquireQueryId();
-  auto exec = std::make_unique<JoinExecutor>(workload, options, &net_, id,
-                                             medium_opts_.knobs.shards);
+  auto exec = std::make_unique<JoinExecutor>(workload, options, &net_, id);
   JoinExecutor* out = exec.get();
   out->medium_ = this;  // placement-sharing hooks (tree_mode == kShared)
   sched_->Attach(out);
@@ -371,12 +362,6 @@ void SharedMedium::DetachShared(int query_id) {
         net::TrafficStats::QueryScope scope(&net_.stats(), promote);
         np->AdoptSharedPlacement(dying, se.pair);
       }
-      // Adoption just restored the pair into np's per-node pair lists —
-      // state the pipelined sample stage reads. Any slab prestaged for np
-      // before this point was computed while the pair was still
-      // suppressed; drop it so the affected cycles re-stage and the
-      // promotion stays byte-identical at every pipeline depth.
-      sched_->InvalidateStaged(np);
       se.owner = promote;
       if (!se.subscribers.empty()) {
         JoinExecutor::PairPlacement* npl = np->MutablePlacement(se.pair);

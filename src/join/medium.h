@@ -54,10 +54,10 @@ struct MediumOptions {
   /// Run-shape knobs (common/run_knobs.h), shared with ExecutorOptions and
   /// core::ServiceOptions. `knobs.sample_interval` is the medium's one
   /// sampling clock (every admitted query's window.sample_interval must
-  /// equal it); `knobs.shards` > 1 or `knobs.pipeline_depth` > 1 host the
-  /// executors on a sim::ShardedScheduler (worker-parallel phases,
-  /// cross-cycle sample pipelining) with byte-identical results for every
-  /// value. The medium itself ignores `knobs.reopt_*` — continuous
+  /// equal it); `knobs.shards` > 1 runs the executors' node-range phases
+  /// on that many worker-driven ranges (clamped to [1, node count]), with
+  /// byte-identical results for every value. The medium itself ignores
+  /// `knobs.reopt_*` — continuous
   /// re-optimization is per query (ExecutorOptions::knobs).
   common::RunKnobs knobs;
   /// Permit RunCycles with zero live queries. A service run idles between

@@ -88,11 +88,10 @@ struct ExecutorOptions {
 
   /// Run-shape knobs shared with MediumOptions / core::ServiceOptions
   /// (common/run_knobs.h). `knobs.shards` partitions an owned run across
-  /// worker-driven node ranges and `knobs.pipeline_depth` overlaps future
-  /// cycles' sample stages — both byte-identical for every value.
-  /// Medium-attached executors shard/pipeline with the medium's scheduler
-  /// (join::MediumOptions::knobs) and ignore those two fields here, but
-  /// keep their own `knobs.reopt_interval` / `knobs.reopt_threshold`: the
+  /// worker-driven node ranges, byte-identical for every value.
+  /// Medium-attached executors shard with the medium's scheduler
+  /// (join::MediumOptions::knobs) and ignore that field here, but keep
+  /// their own `knobs.reopt_interval` / `knobs.reopt_threshold`: the
   /// continuous re-optimization loop is per query.
   common::RunKnobs knobs;
 

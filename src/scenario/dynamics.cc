@@ -192,9 +192,8 @@ Status ScenarioDriver::set_query_host(QueryHost* host) {
   if (host_ == nullptr) return Status::OK();
   // Selectivity shifts dispatch now, not at their cycle: the workload's
   // global switch is indexed by cycle, so registering it ahead of time
-  // yields the same trace at every pipeline depth, whereas waiting for the
-  // cycle-N hooks would race a depth-d scheduler that already sampled
-  // cycle N. Apply() then treats the event as a no-op.
+  // yields the same trace as applying it at cycle N. Apply() then treats
+  // the event as a no-op.
   for (const DynamicsEvent& e : ordered_) {
     if (e.kind != DynamicsEvent::Kind::kSelectivityShift) continue;
     ASPEN_RETURN_NOT_OK(
@@ -299,8 +298,8 @@ Status ScenarioDriver::Apply(const DynamicsEvent& e, int cycle) {
       break;
     }
     case DynamicsEvent::Kind::kSelectivityShift:
-      // Already dispatched eagerly by set_query_host (pipeline-safe); a
-      // schedule with shifts but no host attached cannot honor them.
+      // Already dispatched eagerly by set_query_host; a schedule with
+      // shifts but no host attached cannot honor them.
       if (host_ == nullptr) {
         return Status::FailedPrecondition(
             "scenario: selectivity-shift event but no QueryHost attached");

@@ -52,9 +52,9 @@ class QueryHost {
   /// shifts are dispatched *eagerly* at host attachment, not when the
   /// clock reaches `at_cycle`: the workload's global switch is
   /// cycle-indexed (Workload::SetGlobalSwitch), so registering it ahead of
-  /// time is byte-identical at every pipeline depth — a depth-d scheduler
-  /// may sample cycle `at_cycle` before the cycle-`at_cycle` event hooks
-  /// run. Hosts that cannot honor shifts keep this default, which fails
+  /// time gives the same trace as applying it at `at_cycle`, with no
+  /// dependence on where the host sits in the scheduler's participant
+  /// order. Hosts that cannot honor shifts keep this default, which fails
   /// any run whose schedule contains one.
   virtual Status OnSelectivityShift(int at_cycle, double sigma_s,
                                     double sigma_t, double sigma_st) {
@@ -201,9 +201,8 @@ class ScenarioDriver : public sim::CycleParticipant {
   /// on. Must be set before the first such event fires (a query event with
   /// no host fails the run); network-only schedules need none. The host
   /// must outlive the driver. Selectivity-shift events are dispatched to
-  /// the host *here*, eagerly (see QueryHost::OnSelectivityShift for why
-  /// that is the pipeline-safe dispatch point); the returned status is
-  /// their outcome.
+  /// the host *here*, eagerly (see QueryHost::OnSelectivityShift); the
+  /// returned status is their outcome.
   Status set_query_host(QueryHost* host);
 
   /// Applies every event due at `cycle`, plus active drifts/expiries.

@@ -1,6 +1,7 @@
 #include "sim/cycle_scheduler.h"
 
 #include <algorithm>
+#include <cstdint>
 
 #include "common/logging.h"
 #include "common/phase.h"
@@ -8,10 +9,63 @@
 namespace aspen {
 namespace sim {
 
-CycleScheduler::CycleScheduler(net::Network* network, int sample_interval)
-    : net_(network), sample_interval_(sample_interval) {
-  ASPEN_CHECK(network != nullptr);
+namespace {
+
+/// Balanced contiguous split: shard i starts at floor(i * n / k), with k
+/// clamped to [1, num_nodes].
+std::vector<net::NodeId> ComputeShardStarts(int num_nodes, int num_shards) {
+  num_shards = std::max(1, std::min(num_shards, num_nodes));
+  std::vector<net::NodeId> starts(num_shards);
+  for (int i = 0; i < num_shards; ++i) {
+    starts[i] = static_cast<net::NodeId>(
+        static_cast<int64_t>(i) * num_nodes / num_shards);
+  }
+  return starts;
+}
+
+/// Clears a flag on scope exit, so every return path (including the
+/// error returns inside the phase loops) restores it.
+class FlagGuard {
+ public:
+  explicit FlagGuard(bool* flag) : flag_(flag) { *flag_ = true; }
+  ~FlagGuard() { *flag_ = false; }
+  FlagGuard(const FlagGuard&) = delete;
+  FlagGuard& operator=(const FlagGuard&) = delete;
+
+ private:
+  bool* flag_;
+};
+
+}  // namespace
+
+CycleScheduler::CycleScheduler(net::Network* network, int sample_interval,
+                               int num_shards)
+    : net_(network),
+      sample_interval_(sample_interval),
+      starts_(ComputeShardStarts(network->topology().num_nodes(), num_shards)),
+      pool_(static_cast<int>(starts_.size()) - 1) {
   ASPEN_CHECK(sample_interval > 0);
+  {
+    // Construction happens strictly before any cycle runs.
+    common::SequentialPhaseScope seq;
+    net_->ConfigureSharding(starts_, &pool_);
+  }
+  shard_job_ = [this](int s) {
+    const net::NodeId lo = starts_[s];
+    const net::NodeId hi = s + 1 < this->num_shards()
+                               ? starts_[s + 1]
+                               : net_->topology().num_nodes();
+    if (current_is_sample_) {
+      current_->OnSampleShard(cycle_, s, lo, hi);
+    } else {
+      current_->OnDeliverShard(cycle_, s, lo, hi);
+    }
+  };
+}
+
+CycleScheduler::~CycleScheduler() {
+  // The network outlives this scheduler but not the owned pool.
+  net_->DetachShardPool();
 }
 
 void CycleScheduler::Attach(CycleParticipant* participant) {
@@ -51,22 +105,26 @@ void CycleScheduler::Compact() {
       participants_.end());
 }
 
-namespace {
+void CycleScheduler::RunShards(CycleParticipant* p, bool sample) {
+  current_ = p;
+  current_is_sample_ = sample;
+  // With one shard the pool runs the single range inline on this thread.
+  pool_.Run(num_shards(), shard_job_);
+}
 
-/// Clears a flag on scope exit, so every return path (including the
-/// error returns inside the phase loops) restores it.
-class FlagGuard {
- public:
-  explicit FlagGuard(bool* flag) : flag_(flag) { *flag_ = true; }
-  ~FlagGuard() { *flag_ = false; }
-  FlagGuard(const FlagGuard&) = delete;
-  FlagGuard& operator=(const FlagGuard&) = delete;
+Status CycleScheduler::SamplePhase(CycleParticipant* p) {
+  ASPEN_RETURN_NOT_OK(p->OnSample(cycle_));
+  if (!p->node_range_phases()) return Status::OK();
+  RunShards(p, /*sample=*/true);
+  return p->OnSampleCommit(cycle_);
+}
 
- private:
-  bool* flag_;
-};
-
-}  // namespace
+Status CycleScheduler::DeliverPhase(CycleParticipant* p) {
+  ASPEN_RETURN_NOT_OK(p->OnDeliver(cycle_));
+  if (!p->node_range_phases()) return Status::OK();
+  RunShards(p, /*sample=*/false);
+  return p->OnDeliverCommit(cycle_);
+}
 
 Status CycleScheduler::RunCycles(int n) {
   Compact();  // tombstones may survive an error-path return
@@ -75,13 +133,6 @@ Status CycleScheduler::RunCycles(int n) {
   }
   ASPEN_CHECK(!dispatching_);
   FlagGuard in_dispatch(&dispatching_);
-  // Every exit path — error returns from the phase loops included — must
-  // leave no scheduler-forked work in flight and no prestaged slab valid;
-  // a local class has this member function's access to the hook.
-  struct RunExitGuard {
-    CycleScheduler* sched;
-    ~RunExitGuard() { sched->RunFinished(); }
-  } run_exit{this};
   // Phase loops iterate by index and re-read size(): a participant attached
   // mid-phase (query admission) is visited later in the same phase, and a
   // tombstoned one (query departure) is skipped from that instant.
@@ -89,9 +140,8 @@ Status CycleScheduler::RunCycles(int n) {
     for (size_t k = 0; k < participants_.size(); ++k) {
       CycleParticipant* p = participants_[k];
       if (p == nullptr) continue;
-      ASPEN_RETURN_NOT_OK(SamplePhase(p, cycle_));
+      ASPEN_RETURN_NOT_OK(SamplePhase(p));
     }
-    SamplePhaseDone(cycle_);
     {
       // The transmit loop runs on the scheduler thread; Step() itself forks
       // the shard compute jobs and rejoins before its exchange phase.
@@ -101,15 +151,14 @@ Status CycleScheduler::RunCycles(int n) {
         if (!net_->HasTrafficInFlight()) break;
       }
     }
-    TransmitPhaseDone(cycle_);
     for (size_t k = 0; k < participants_.size(); ++k) {
       CycleParticipant* p = participants_[k];
       if (p == nullptr) continue;
-      ASPEN_RETURN_NOT_OK(DeliverPhase(p, cycle_));
+      ASPEN_RETURN_NOT_OK(DeliverPhase(p));
     }
     // Re-optimize phase: sequential, nothing in flight — planned placement
     // migrations advance and periodic re-optimization decides here, so the
-    // decisions see identical state at every shard count / pipeline depth.
+    // decisions see identical state at every shard count.
     for (size_t k = 0; k < participants_.size(); ++k) {
       CycleParticipant* p = participants_[k];
       if (p == nullptr) continue;
@@ -133,7 +182,7 @@ Status CycleScheduler::RunCycles(int n) {
   for (size_t k = 0; k < participants_.size(); ++k) {
     CycleParticipant* p = participants_[k];
     if (p == nullptr) continue;
-    ASPEN_RETURN_NOT_OK(DeliverPhase(p, cycle_));
+    ASPEN_RETURN_NOT_OK(DeliverPhase(p));
   }
   return Status::OK();
 }

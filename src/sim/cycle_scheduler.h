@@ -17,88 +17,85 @@
 // The scheduler persists across RunCycles calls, so a run can be continued
 // (RunCycles(5) twice == RunCycles(10) cycle-for-cycle, modulo the straggler
 // drain performed after every call).
+//
+// The node space is partitioned into K contiguous id ranges (shards; node
+// ids are spatially coherent, so on a grid a range is a strip of the
+// deployment). K = 1 is one range run inline on the calling thread; K > 1
+// runs the ranges on a WorkerPool of K - 1 workers plus the caller, both in
+// Network::Step's compute phase and in the node-range passes of the sample
+// and deliver phases. Every cross-range effect is merged in an order
+// derived from content (node ids, message ids, mailbox positions), never
+// from K or thread timing, so a run's TrafficStats, results and RNG streams
+// are byte-identical for every K. See DESIGN.md ("Sharded execution").
 
 #ifndef ASPEN_SIM_CYCLE_SCHEDULER_H_
 #define ASPEN_SIM_CYCLE_SCHEDULER_H_
 
+#include <functional>
 #include <vector>
 
-#include "common/phase.h"
+#include "common/parallel.h"
 #include "common/status.h"
 #include "net/network.h"
 
 namespace aspen {
 namespace sim {
 
-/// \brief Node-range-parallel implementations of the sample and deliver
-/// phases, for participants hosted on a ShardedScheduler.
-///
-/// Each phase splits Begin (main thread; sequential prep), a per-shard
-/// stage (invoked once per shard, concurrently, over the shard's contiguous
-/// node range [begin, end)) and Commit (main thread; applies everything the
-/// shard passes staged, in one canonical order). A stage pass must only
-/// mutate state owned by its node range or its own per-shard scratch; the
-/// phase's observable outcome must not depend on the shard count — the
-/// plain OnSample/OnDeliver hooks are required to equal Begin + one
-/// full-range stage pass + Commit.
-///
-/// The sample stage is additionally *pure* (ASPEN_REQUIRES_PIPELINE): it
-/// reads only state that is immutable during a cycle (the workload after
-/// OnSampleBegin's WarmFilterCache, the per-shard producer caches) and
-/// writes only its own (shard, slot) slab — so a pipelined scheduler may
-/// run it for cycle N+1 while cycle N's transmit is still in flight. The
-/// `slot` index (cycle % slots, with `slots` set via ConfigureSampleSlots)
-/// names which slab of the ring the stage fills and the matching commit
-/// drains; schedulers without pipelining always pass slot 0.
-class ShardPhaseParticipant {
- public:
-  virtual ~ShardPhaseParticipant() = default;
-
-  /// Sizes the sample slab ring to `slots` (>= 1) independent per-shard
-  /// slabs so a pipelined scheduler can stage up to `slots - 1` future
-  /// cycles while earlier slabs await commit. Idempotent; called by the
-  /// scheduler before the participant's sample phase. Participants start
-  /// with one slot.
-  virtual void ConfigureSampleSlots(int slots) = 0;
-
-  /// True when the pure sample stage may run ahead of time for a future
-  /// cycle. Participants that are not fully set up yet (e.g. admitted but
-  /// not initiated) return false and are sampled synchronously instead.
-  virtual bool SampleStageReady() const { return true; }
-
-  virtual void OnSampleBegin(int cycle) = 0;
-  virtual void OnSampleStage(int cycle, int slot, int shard,
-                             net::NodeId begin, net::NodeId end)
-      ASPEN_REQUIRES_PIPELINE = 0;
-  virtual Status OnSampleCommit(int cycle, int slot) = 0;
-
-  virtual void OnDeliverBegin(int cycle) = 0;
-  virtual void OnDeliverShard(int cycle, int shard, net::NodeId begin,
-                              net::NodeId end) = 0;
-  virtual Status OnDeliverCommit(int cycle) = 0;
-};
-
 /// \brief One query's protocol logic hosted on the kernel. Phase hooks are
 /// invoked in registration order; `cycle` is the scheduler's clock value.
+///
+/// The sample and deliver phases may additionally be split by node range.
+/// A participant that returns true from node_range_phases() gets, after its
+/// OnSample (resp. OnDeliver) returned OK, one OnSampleShard (resp.
+/// OnDeliverShard) call per shard — concurrently when K > 1, each over its
+/// shard's contiguous node range [begin, end) — and then OnSampleCommit
+/// (resp. OnDeliverCommit), before the scheduler moves on to the next
+/// participant. OnSample/OnDeliver and the commits run on the scheduler
+/// thread; a shard pass may only mutate state owned by its node range or
+/// its own per-shard scratch, and the phase's outcome must not depend on
+/// the shard count.
 class CycleParticipant {
  public:
   virtual ~CycleParticipant() = default;
 
-  /// Sample phase: sample producers and submit this cycle's data traffic.
+  /// Sample phase: sample producers and submit this cycle's data traffic
+  /// (with node-range phases: the sequential preparation of the shard
+  /// passes).
   virtual Status OnSample(int cycle) = 0;
 
-  /// Deliver phase: apply arrivals buffered during transmit. Also invoked
-  /// once after the final straggler drain of a RunCycles call.
+  /// Deliver phase: apply arrivals buffered during transmit (with
+  /// node-range phases: the sequential preparation of the shard passes).
+  /// Also invoked once after the final straggler drain of a RunCycles call.
   virtual Status OnDeliver(int cycle) = 0;
+
+  /// True when the node-range hooks below carry the participant's work.
+  /// False (the default) means the scheduler never calls them, so a plain
+  /// participant costs no pool dispatch.
+  virtual bool node_range_phases() const { return false; }
+
+  /// Node-range pass of the sample (resp. deliver) phase, and the commit
+  /// that applies what the passes staged, in one canonical order.
+  virtual void OnSampleShard(int /*cycle*/, int /*shard*/,
+                             net::NodeId /*begin*/, net::NodeId /*end*/) {}
+  virtual Status OnSampleCommit(int cycle) {
+    (void)cycle;
+    return Status::OK();
+  }
+  virtual void OnDeliverShard(int /*cycle*/, int /*shard*/,
+                              net::NodeId /*begin*/, net::NodeId /*end*/) {}
+  virtual Status OnDeliverCommit(int cycle) {
+    (void)cycle;
+    return Status::OK();
+  }
 
   /// Re-optimize phase: runs after deliver and before learn, strictly
   /// sequential with nothing in flight (the transmit loop drained and
   /// every deliver commit applied). This is where continuous
   /// re-optimization advances planned placement migrations and — on its
   /// period — re-runs the cost model against live estimates: decisions
-  /// made here see identical state for every shard count and pipeline
-  /// depth, which is what keeps migrations byte-identical. Not invoked
-  /// during the straggler drain after the last cycle. Default: no-op.
+  /// made here see identical state for every shard count, which is what
+  /// keeps migrations byte-identical. Not invoked during the straggler
+  /// drain after the last cycle. Default: no-op.
   virtual Status OnReoptimize(int cycle) {
     (void)cycle;
     return Status::OK();
@@ -106,19 +103,18 @@ class CycleParticipant {
 
   /// Learn phase: estimator ticks, adaptation, window advance.
   virtual Status OnLearn(int cycle) = 0;
-
-  /// Non-null when this participant can run its sample/deliver phases
-  /// sharded (ShardedScheduler uses it; other schedulers ignore it).
-  virtual ShardPhaseParticipant* sharded() { return nullptr; }
 };
 
 /// \brief Owns the clock and drives the phase loop over one network.
 class CycleScheduler {
  public:
-  /// `network` must outlive the scheduler. `sample_interval` is the number
-  /// of transmission cycles available per sampling cycle.
-  CycleScheduler(net::Network* network, int sample_interval);
-  virtual ~CycleScheduler() = default;
+  /// `network` must outlive the scheduler and carry no traffic yet.
+  /// `sample_interval` is the number of transmission cycles available per
+  /// sampling cycle. `num_shards` is clamped to [1, node count]; the
+  /// network is partitioned accordingly and steps on the scheduler's pool.
+  CycleScheduler(net::Network* network, int sample_interval,
+                 int num_shards = 1);
+  ~CycleScheduler();
 
   CycleScheduler(const CycleScheduler&) = delete;
   CycleScheduler& operator=(const CycleScheduler&) = delete;
@@ -140,20 +136,8 @@ class CycleScheduler {
   /// called mid-run (query departure): the slot is tombstoned so the
   /// in-progress phase loop skips it, and compacted at the next cycle
   /// boundary. A participant detached during the cycle-N sample phase
-  /// before its own turn never samples at cycle N. Virtual so a pipelining
-  /// scheduler can drop the participant's prestaged slabs with it.
-  virtual void Detach(CycleParticipant* participant);
-
-  /// \brief Invalidates any prestaged sample slabs for a participant that
-  /// stays attached but whose sample-visible state was mutated mid-run
-  /// (e.g. a placement-sharing subscriber promoted to owner, whose
-  /// per-node pair lists just changed). A no-op here; the pipelining
-  /// subclass joins in-flight stage work and drops the participant's
-  /// staged range so the affected cycles re-stage from current state,
-  /// keeping the mutation byte-identical at every pipeline depth.
-  virtual void InvalidateStaged(CycleParticipant* participant) {
-    (void)participant;
-  }
+  /// before its own turn never samples at cycle N.
+  void Detach(CycleParticipant* participant);
 
   /// \brief Advances the clock to `cycle` without running any phases, so a
   /// fresh run can reproduce a query admitted mid-run on a shared medium
@@ -169,38 +153,19 @@ class CycleScheduler {
 
   int cycle() const { return cycle_; }
   int sample_interval() const { return sample_interval_; }
+  /// The number of node ranges, after clamping.
+  int num_shards() const { return static_cast<int>(starts_.size()); }
   net::Network& network() { return *net_; }
 
- protected:
-  /// One participant's sample (resp. deliver) phase. The single cycle loop
-  /// in RunCycles dispatches through these so a scheduler subclass can
-  /// substitute a sharded phase schedule without duplicating the loop —
-  /// the phase ordering and straggler-drain contract stay identical by
-  /// construction.
-  virtual Status SamplePhase(CycleParticipant* p, int cycle) {
-    return p->OnSample(cycle);
-  }
-  virtual Status DeliverPhase(CycleParticipant* p, int cycle) {
-    return p->OnDeliver(cycle);
-  }
-
-  /// Called once per cycle after every participant's sample phase, before
-  /// the transmit loop starts: the point where a pipelining subclass
-  /// dispatches cycle N+1's pure sample stage to overlap with cycle N's
-  /// transmit.
-  virtual void SamplePhaseDone(int cycle) { (void)cycle; }
-
-  /// Called once per cycle after the transmit loop, before the deliver
-  /// phase: the join point for work dispatched at SamplePhaseDone. After
-  /// this hook returns, no scheduler-forked work may be in flight.
-  virtual void TransmitPhaseDone(int cycle) { (void)cycle; }
-
-  /// Called on every exit path of RunCycles (normal return, error return,
-  /// exception), after the straggler drain on the normal path. A pipelining
-  /// subclass joins any stray stage work and invalidates prestaged slabs
-  /// here, so between-call mutations (workload parameters, SeekTo, query
-  /// churn) can never observe — or be observed by — a half-full pipeline.
-  virtual void RunFinished() {}
+ private:
+  /// One participant's sample (resp. deliver) phase: the plain hook, then
+  /// — for node-range participants — every shard pass and the commit.
+  Status SamplePhase(CycleParticipant* p);
+  Status DeliverPhase(CycleParticipant* p);
+  /// Runs `p`'s sample or deliver shard pass over every node range.
+  void RunShards(CycleParticipant* p, bool sample);
+  /// Erases tombstones left by mid-run Detach calls.
+  void Compact();
 
   net::Network* net_;
   int sample_interval_;
@@ -211,9 +176,14 @@ class CycleScheduler {
   int cycle_ = 0;
   bool dispatching_ = false;
 
- private:
-  /// Erases tombstones left by mid-run Detach calls.
-  void Compact();
+  /// starts_[i] is the first node of shard i (starts_[0] == 0).
+  std::vector<net::NodeId> starts_;
+  common::WorkerPool pool_;
+  /// The shard pass RunShards is running; shard_job_ reads these so one
+  /// job object serves every pass (no per-call allocation).
+  CycleParticipant* current_ = nullptr;
+  bool current_is_sample_ = false;
+  std::function<void(int)> shard_job_;
 };
 
 }  // namespace sim

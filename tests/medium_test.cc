@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "join/medium.h"
 #include "net/topology.h"
 #include "query/parser.h"
@@ -136,6 +138,65 @@ TEST(SharedMediumTest, RunCyclesRejectedOnAttachedExecutor) {
   ASSERT_TRUE(medium.InitiateAll().ok());
   EXPECT_FALSE(exec->RunCycles(1).ok());
   EXPECT_TRUE(medium.RunCycles(1).ok());
+}
+
+TEST(SharedMediumTest, UninitiatedQueryFailsPreconditionAtEveryShardCount) {
+  // An admitted but never-initiated query has no node state; its sample
+  // phase must refuse to run before any shard pass touches that state.
+  auto topo = net::Topology::Random(40, 7.0, 3);
+  ASSERT_TRUE(topo.ok());
+  auto wl = *Workload::MakeQuery1(&*topo, {0.5, 0.5, 0.2}, 3, 7);
+  ExecutorOptions opts;
+  opts.algorithm = Algorithm::kInnet;
+  for (int shards : {1, 2, 4}) {
+    MediumOptions mopts;
+    mopts.knobs.shards = shards;
+    SharedMedium medium(&*topo, {}, mopts);
+    ASSERT_TRUE(medium.TryAddQuery(&wl, opts).ok());
+    Status st = medium.RunCycles(1);
+    EXPECT_TRUE(st.IsFailedPrecondition())
+        << "shards=" << shards << ": " << st.ToString();
+  }
+}
+
+TEST(SharedMediumTest, OutOfRangeShardCountsMatchOneShard) {
+  // The scheduler clamps the shard count to [1, node count], so zero,
+  // negative and oversized requests run and match the one-shard medium.
+  auto topo = net::Topology::Random(40, 7.0, 3);
+  ASSERT_TRUE(topo.ok());
+  SelectivityParams sel{0.5, 0.5, 0.2};
+  auto q1 = *Workload::MakeQuery1(&*topo, sel, 3, 7);
+  auto q2 = *Workload::MakeQuery2(&*topo, sel, 3, 9);
+  ExecutorOptions opts;
+  opts.algorithm = Algorithm::kInnet;
+  opts.features = InnetFeatures::Cmg();
+  opts.assumed = sel;
+  struct Outcome {
+    uint64_t results1, results2, bytes, messages;
+  };
+  auto run = [&](int shards) {
+    MediumOptions mopts;
+    mopts.knobs.shards = shards;
+    SharedMedium medium(&*topo, {}, mopts);
+    JoinExecutor* e1 = *medium.TryAddQuery(&q1, opts);
+    JoinExecutor* e2 = *medium.TryAddQuery(&q2, opts);
+    EXPECT_TRUE(medium.InitiateAll().ok());
+    EXPECT_TRUE(medium.RunCycles(20).ok());
+    EXPECT_EQ(medium.scheduler()->num_shards(),
+              std::max(1, std::min(shards, topo->num_nodes())));
+    return Outcome{e1->results(), e2->results(),
+                   medium.stats().TotalBytesSent(),
+                   medium.stats().TotalMessagesSent()};
+  };
+  const Outcome base = run(1);
+  EXPECT_GT(base.results1 + base.results2, 0u);
+  for (int shards : {0, -2, topo->num_nodes() + 5}) {
+    const Outcome o = run(shards);
+    EXPECT_EQ(o.results1, base.results1) << "shards=" << shards;
+    EXPECT_EQ(o.results2, base.results2) << "shards=" << shards;
+    EXPECT_EQ(o.bytes, base.bytes) << "shards=" << shards;
+    EXPECT_EQ(o.messages, base.messages) << "shards=" << shards;
+  }
 }
 
 TEST(SharedMediumTest, EmptyMediumRejectsRun) {

@@ -141,98 +141,6 @@ TEST(WorkerPoolTest, WorkerThreadsActuallyParticipate) {
   EXPECT_GE(seen.size(), 1u);
 }
 
-TEST(WorkerPoolDispatchTest, OverlapsWithMainThreadWork) {
-  WorkerPool pool(2);
-  constexpr int kN = 64;
-  std::vector<std::atomic<int>> hits(kN);
-  std::atomic<bool> release{false};
-  const std::thread::id caller = std::this_thread::get_id();
-  std::mutex mu;
-  std::set<std::thread::id> seen;
-  auto job = std::function<void(int)>([&](int i) {
-    // Park until the main thread has provably progressed past Dispatch():
-    // the job cannot have run synchronously inside it.
-    while (!release.load()) std::this_thread::yield();
-    hits[i].fetch_add(1);
-    std::lock_guard<std::mutex> lock(mu);
-    seen.insert(std::this_thread::get_id());
-  });
-  pool.Dispatch(kN, job);
-  // Main-thread work overlapping the dispatched job.
-  long long local = 0;
-  for (int k = 0; k < 1000; ++k) local += k;
-  EXPECT_EQ(local, 499500);
-  release.store(true);
-  pool.Wait();
-  for (int i = 0; i < kN; ++i) EXPECT_EQ(hits[i].load(), 1) << "index " << i;
-  // The caller never participates in a dispatched job.
-  EXPECT_EQ(seen.count(caller), 0u);
-  EXPECT_GE(seen.size(), 1u);
-}
-
-TEST(WorkerPoolDispatchTest, ExceptionCapturedAtDispatchSurfacesAtWait) {
-  WorkerPool pool(3);
-  constexpr int kN = 96;
-  std::atomic<int> calls{0};
-  auto job = std::function<void(int)>([&](int i) {
-    calls.fetch_add(1);
-    if (i % 17 == 5) throw std::runtime_error("dispatched boom");
-  });
-  pool.Dispatch(kN, job);
-  EXPECT_THROW(pool.Wait(), std::runtime_error);
-  // Same coverage contract as Run(): every index still executed.
-  EXPECT_EQ(calls.load(), kN);
-}
-
-TEST(WorkerPoolDispatchTest, PoolReusableAfterDispatchAndAfterFailure) {
-  WorkerPool pool(2);
-  constexpr int kN = 32;
-  auto boom = std::function<void(int)>(
-      [&](int i) { if (i == 3) throw std::runtime_error("boom"); });
-  pool.Dispatch(kN, boom);
-  EXPECT_THROW(pool.Wait(), std::runtime_error);
-
-  // Run() after a failed dispatched job.
-  std::atomic<int> ran{0};
-  pool.Run(kN, [&](int) { ran.fetch_add(1); });
-  EXPECT_EQ(ran.load(), kN);
-
-  // And another Dispatch/Wait round-trip.
-  std::atomic<int> again{0};
-  auto ok = std::function<void(int)>([&](int) { again.fetch_add(1); });
-  pool.Dispatch(kN, ok);
-  pool.Wait();
-  EXPECT_EQ(again.load(), kN);
-}
-
-TEST(WorkerPoolDispatchTest, ZeroWorkersRunsInlineWithSameContract) {
-  WorkerPool pool(0);
-  constexpr int kN = 8;
-  std::atomic<int> calls{0};
-  const std::thread::id caller = std::this_thread::get_id();
-  std::vector<std::thread::id> ids(kN);
-  auto job = std::function<void(int)>([&](int i) {
-    calls.fetch_add(1);
-    ids[i] = std::this_thread::get_id();
-    if (i == 1) throw std::runtime_error("inline boom");
-  });
-  pool.Dispatch(kN, job);
-  // The job already ran inline, but the error still surfaces at Wait().
-  EXPECT_EQ(calls.load(), kN);
-  EXPECT_THROW(pool.Wait(), std::runtime_error);
-  for (const auto& id : ids) EXPECT_EQ(id, caller);
-}
-
-TEST(WorkerPoolDispatchTest, ZeroNDispatchAndBareWaitAreNoops) {
-  WorkerPool pool(2);
-  std::atomic<int> calls{0};
-  auto job = std::function<void(int)>([&](int) { calls.fetch_add(1); });
-  pool.Dispatch(0, job);
-  pool.Wait();
-  pool.Wait();  // no outstanding job: no-op
-  EXPECT_EQ(calls.load(), 0);
-}
-
 }  // namespace
 }  // namespace common
 }  // namespace aspen

@@ -154,14 +154,14 @@ TEST(ServiceTest, RejectsDuplicateSlotWithoutLeakingAQuery) {
   EXPECT_EQ((*runner)->progress().arrivals, 1);
 }
 
-TEST(ServiceTest, SharedModeChurnIsPipelineDepthInvariant) {
+TEST(ServiceTest, SharedModeChurnIsShardCountInvariant) {
   // Mid-run owner departure under placement sharing: adoption restores the
-  // promoted subscriber's pair lists — state the pipelined sample stage
-  // reads — so the medium must invalidate any slab prestaged for it before
-  // the promotion. Slot 0 owns every shared placement of template 0,
-  // slots 1-2 subscribe; the owner departs mid-run, promoting slot 1 while
-  // slot 2 stays subscribed. The whole run must be byte-identical at every
-  // pipeline depth and shard count.
+  // promoted subscriber's pair lists — state its sample shard passes read
+  // through the per-shard producer caches, which the adoption must
+  // invalidate. Slot 0 owns every shared placement of template 0, slots
+  // 1-2 subscribe; the owner departs mid-run, promoting slot 1 while slot
+  // 2 stays subscribed. The whole run must be byte-identical at every
+  // shard count.
   net::Topology topo = *net::Topology::Random(80, 7.0, 11);
   SelectivityParams sel{0.5, 0.5, 0.2};
   Workload wl = *Workload::MakeQuery1(&topo, sel, 3, 7);
@@ -172,36 +172,31 @@ TEST(ServiceTest, SharedModeChurnIsPipelineDepthInvariant) {
   schedule.ArriveAt(4, /*slot=*/2, /*template_id=*/0);
   schedule.DepartAt(12, /*slot=*/0);
 
-  auto run = [&](int shards, int depth) {
+  auto run = [&](int shards) {
     ServiceOptions opts;
     opts.executor.algorithm = join::Algorithm::kInnet;
     opts.executor.assumed = sel;
     opts.executor.knobs.tree_mode = common::TreeMode::kShared;
     opts.medium.knobs.tree_mode = common::TreeMode::kShared;
     opts.medium.knobs.shards = shards;
-    opts.medium.knobs.pipeline_depth = depth;
     opts.dynamics = &schedule;
     auto stats = RunService(templates, opts, /*cycles=*/28);
     EXPECT_TRUE(stats.ok());
     return *std::move(stats);
   };
 
-  const ServiceStats base = run(1, 1);
+  const ServiceStats base = run(1);
   EXPECT_EQ(base.arrivals, 3);
   EXPECT_EQ(base.departures, 1);
   EXPECT_GT(base.total_results, 0u);
-  for (int depth : {2, 3}) {
-    for (int shards : {1, 3}) {
-      const ServiceStats other = run(shards, depth);
-      EXPECT_EQ(other.total_results, base.total_results)
-          << "shards=" << shards << " depth=" << depth;
-      EXPECT_EQ(other.total_bytes, base.total_bytes)
-          << "shards=" << shards << " depth=" << depth;
-      EXPECT_EQ(other.total_messages, base.total_messages)
-          << "shards=" << shards << " depth=" << depth;
-      ASSERT_EQ(other.ledger.size(), base.ledger.size());
-      EXPECT_EQ(other.ledger[0].stats.results, base.ledger[0].stats.results);
-    }
+  for (int shards : {2, 3, 4}) {
+    const ServiceStats other = run(shards);
+    EXPECT_EQ(other.total_results, base.total_results) << "shards=" << shards;
+    EXPECT_EQ(other.total_bytes, base.total_bytes) << "shards=" << shards;
+    EXPECT_EQ(other.total_messages, base.total_messages)
+        << "shards=" << shards;
+    ASSERT_EQ(other.ledger.size(), base.ledger.size());
+    EXPECT_EQ(other.ledger[0].stats.results, base.ledger[0].stats.results);
   }
 }
 

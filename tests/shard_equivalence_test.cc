@@ -3,7 +3,7 @@
 // migrations and failovers — is byte-identical for every shard count. The
 // shard count only decides which thread executes which node range; the
 // exchange phases merge all cross-shard interactions in canonical content
-// order (net/network.h, sim/sharded_scheduler.h).
+// order (net/network.h, sim/cycle_scheduler.h).
 //
 // The property is exercised across topologies, algorithms, lossy radios and
 // scripted dynamics (churn, kills, loss drift), i.e. including the paths
@@ -215,7 +215,9 @@ TEST(ShardEquivalenceTest, GhtMeshMode) {
   CheckShardInvariance(wl, sc);
 }
 
-TEST(ShardEquivalenceTest, ShardCountExceedingNodesClamps) {
+TEST(ShardEquivalenceTest, OutOfRangeShardCountsClamp) {
+  // The scheduler clamps the shard count to [1, node count]: zero, negative
+  // and oversized requests run and reproduce the one-shard run exactly.
   auto topo = *net::Topology::Grid(3, 3, 300.0);
   SelectivityParams sel{1.0, 1.0, 0.5};
   auto wl = *Workload::MakeQuery0(&topo, sel, /*num_pairs=*/2, /*window=*/2,
@@ -226,8 +228,10 @@ TEST(ShardEquivalenceTest, ShardCountExceedingNodesClamps) {
   sc.opts.mesh_mode = true;
   sc.cycles = 10;
   RunDigest base = RunAtShards(wl, sc, 1);
-  RunDigest d = RunAtShards(wl, sc, 64);  // clamped to 9 nodes
-  ExpectIdentical(base, d, 64);
+  for (int shards : {0, -2, 64}) {  // 64 clamps to the 9 nodes
+    RunDigest d = RunAtShards(wl, sc, shards);
+    ExpectIdentical(base, d, shards);
+  }
 }
 
 }  // namespace

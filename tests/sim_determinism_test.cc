@@ -83,10 +83,9 @@ TEST(SchedulerDeterminismTest, SharedMediumSameSeedSameStats) {
   ExpectIdentical(a2, b2);
 }
 
-TEST(SchedulerDeterminismTest, PipelinedStatsMatchSequential) {
-  // The pipelined scheduler overlaps future cycles' sample stages with the
-  // current transmit; every (shards, depth) combination must reproduce the
-  // sequential run's stats exactly.
+TEST(SchedulerDeterminismTest, ShardedStatsMatchSequential) {
+  // Learning and a lossy radio on top of the node-range phases: every
+  // shard count must reproduce the one-shard run's stats exactly.
   auto topo = *net::Topology::Random(80, 7.0, 5);
   SelectivityParams sel{0.5, 0.5, 0.2};
   join::ExecutorOptions opts;
@@ -100,16 +99,12 @@ TEST(SchedulerDeterminismTest, PipelinedStatsMatchSequential) {
   auto wl = *Workload::MakeQuery1(&topo, sel, 3, 7);
   auto baseline = core::RunExperiment(wl, opts, 60);
   ASSERT_TRUE(baseline.ok());
-  for (int depth : {2, 3}) {
-    for (int shards : {1, 3}) {
-      SCOPED_TRACE("depth=" + std::to_string(depth) +
-                   " shards=" + std::to_string(shards));
-      opts.knobs.pipeline_depth = depth;
-      opts.knobs.shards = shards;
-      auto piped = core::RunExperiment(wl, opts, 60);
-      ASSERT_TRUE(piped.ok());
-      ExpectIdentical(*baseline, *piped);
-    }
+  for (int shards : {2, 3, 4}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    opts.knobs.shards = shards;
+    auto sharded = core::RunExperiment(wl, opts, 60);
+    ASSERT_TRUE(sharded.ok());
+    ExpectIdentical(*baseline, *sharded);
   }
 }
 
@@ -131,10 +126,10 @@ join::RunStats RunInChunks(const net::Topology& topo,
   return exec.Stats();
 }
 
-TEST(SchedulerDeterminismTest, PipelinedContinuationInvariance) {
-  // RunCycles(5) twice must equal RunCycles(10) at every pipeline depth:
-  // RunFinished invalidates the prestaged slabs on each exit, so state
-  // observed (or mutated) between calls never depends on the depth.
+TEST(SchedulerDeterminismTest, ContinuationInvarianceAcrossShards) {
+  // RunCycles(5) twice must equal RunCycles(10) at every shard count: the
+  // straggler drain at the end of each call leaves the same state whatever
+  // the partition.
   auto topo = *net::Topology::Random(70, 7.0, 11);
   SelectivityParams sel{0.5, 0.5, 0.2};
   join::ExecutorOptions opts;
@@ -145,23 +140,18 @@ TEST(SchedulerDeterminismTest, PipelinedContinuationInvariance) {
   auto wl = *Workload::MakeQuery1(&topo, sel, 3, 13);
 
   auto whole = RunInChunks(topo, wl, opts, {10}, 0);
-  for (int depth : {1, 2, 3}) {
-    for (int shards : {1, 3}) {
-      SCOPED_TRACE("depth=" + std::to_string(depth) +
-                   " shards=" + std::to_string(shards));
-      opts.knobs.pipeline_depth = depth;
-      opts.knobs.shards = shards;
-      ExpectIdentical(whole, RunInChunks(topo, wl, opts, {5, 5}, 0));
-      ExpectIdentical(whole, RunInChunks(topo, wl, opts, {3, 3, 4}, 0));
-    }
+  for (int shards : {1, 2, 3, 4}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    opts.knobs.shards = shards;
+    ExpectIdentical(whole, RunInChunks(topo, wl, opts, {5, 5}, 0));
+    ExpectIdentical(whole, RunInChunks(topo, wl, opts, {3, 3, 4}, 0));
   }
 }
 
-TEST(SchedulerDeterminismTest, PipelinedSeekToMatchesSequential) {
+TEST(SchedulerDeterminismTest, SeekToMatchesAcrossShards) {
   // SeekTo between RunCycles calls (the shared-medium mid-run-admission
-  // replay) jumps the clock past cycles whose slabs were prestaged; the
-  // pipelined run must discard them and resume from the sought cycle,
-  // matching the sequential schedule exactly.
+  // replay) resumes from the sought cycle identically at every shard
+  // count.
   auto topo = *net::Topology::Random(70, 7.0, 17);
   SelectivityParams sel{0.5, 0.5, 0.2};
   join::ExecutorOptions opts;
@@ -172,15 +162,11 @@ TEST(SchedulerDeterminismTest, PipelinedSeekToMatchesSequential) {
   auto wl = *Workload::MakeQuery1(&topo, sel, 3, 19);
 
   auto sequential = RunInChunks(topo, wl, opts, {4, 8}, /*seek_between=*/7);
-  for (int depth : {2, 3}) {
-    for (int shards : {1, 3}) {
-      SCOPED_TRACE("depth=" + std::to_string(depth) +
-                   " shards=" + std::to_string(shards));
-      opts.knobs.pipeline_depth = depth;
-      opts.knobs.shards = shards;
-      ExpectIdentical(sequential,
-                      RunInChunks(topo, wl, opts, {4, 8}, /*seek_between=*/7));
-    }
+  for (int shards : {2, 3, 4}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    opts.knobs.shards = shards;
+    ExpectIdentical(sequential,
+                    RunInChunks(topo, wl, opts, {4, 8}, /*seek_between=*/7));
   }
 }
 

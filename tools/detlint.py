@@ -28,11 +28,10 @@ traffic statically:
          region.  These regions are the per-cycle hot paths whose zero-alloc
          property the benches' allocation audits enforce at runtime.
   DL006  common::SequentialPhaseScope constructed inside a shard-path
-         function body (OnSampleStage / OnSampleShard / OnDeliverShard /
-         ComputeShard / BuildProducerCache / StateAtShard / WorkerLoop).
-         The scope asserts the sequential-phase capability; forging it on a
-         shard hook — or inside the pipelined sample stage, which may run
-         concurrently with the previous cycle's transmit — would defeat the
+         function body (OnSampleShard / OnDeliverShard / ComputeShard /
+         BuildProducerCache / StateAtShard / WorkerLoop). The scope asserts
+         the sequential-phase capability; forging it on a shard hook, which
+         runs concurrently with the other shards' passes, would defeat the
          clang -Wthread-safety phase discipline.
 
 Usage:
@@ -85,7 +84,7 @@ ALLOC_RES = [
 ]
 
 SHARD_FN_RE = re.compile(
-    r"\b(?:OnSampleStage|OnSampleShard|OnDeliverShard|ComputeShard|"
+    r"\b(?:OnSampleShard|OnDeliverShard|ComputeShard|"
     r"BuildProducerCache|StateAtShard|WorkerLoop)\s*\("
 )
 PHASE_SCOPE_RE = re.compile(r"\bSequentialPhaseScope\b")

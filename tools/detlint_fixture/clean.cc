@@ -45,15 +45,11 @@ inline void OnSampleShard(int cycle, int shard, int lo, int hi) {
   (void)hi;
 }
 
-// The pipelined sample stage asserting its own (pipeline-stage) capability
-// is the sanctioned pattern — only the *sequential* scope is banned here.
-inline void OnSampleStage(int cycle, int slot, int shard, int lo, int hi) {
-  common::PipelineStageScope stage;
-  (void)cycle;
-  (void)slot;
-  (void)shard;
-  (void)lo;
-  (void)hi;
+// The commit that follows the shard passes runs on the scheduler thread:
+// asserting the sequential capability there is the sanctioned pattern.
+inline int OnSampleCommit(int cycle) {
+  common::SequentialPhaseScope seq;
+  return cycle;
 }
 
 // Words embedding banned identifiers must not fire.

@@ -79,12 +79,11 @@ inline void OnSampleShard(int cycle, int shard, int lo, int hi) {
   (void)hi;
 }
 
-// Forging it inside the pipelined sample stage, which may run concurrently
-// with the previous cycle's transmit phase.
-inline void OnSampleStage(int cycle, int slot, int shard, int lo, int hi) {
+// Forging it inside the deliver phase's node-range pass, which runs
+// concurrently with the other shards' passes.
+inline void OnDeliverShard(int cycle, int shard, int lo, int hi) {
   common::SequentialPhaseScope seq;  // expect: DL006
   (void)cycle;
-  (void)slot;
   (void)shard;
   (void)lo;
   (void)hi;
