@@ -8,7 +8,7 @@
 // queries where 0/25/50/75% duplicate another tenant's placed pairs. The
 // shared mode's saving should grow with the overlap fraction and vanish at
 // zero overlap (DESIGN.md "Cross-query work sharing"). Metrics land in
-// BENCH_ablation_trees.json (merge mode, so matrix re-runs upsert).
+// BENCH_ablation_trees.json.
 
 #include "bench/bench_util.h"
 #include "join/executor.h"
@@ -57,7 +57,7 @@ int main() {
 
   // ---- tree mode x destination-overlap fraction ------------------------------
   PrintHeader("Ablation", "Tree mode x destination overlap (8 queries)");
-  JsonReport report("BENCH_ablation_trees.json", /*merge=*/true);
+  JsonReport report("BENCH_ablation_trees.json");
   const int kQueries = 8;
   const int kPairs = 20;
   const int mode_cycles = FromEnv(Env::kCycles, 100);

@@ -42,7 +42,7 @@ void RunScenario(const char* name, const Factory& factory, int cycles) {
   };
   for (const auto& col : columns) {
     auto opts = MakeOptions(cmpg, col.assumed);
-    opts.learning = col.learn || col.oracle;
+    if (col.learn || col.oracle) EnableLearning(&opts);
     opts.oracle = col.oracle;
     auto agg = OrDie(core::RunAveraged(factory, opts, cycles, runs));
     table.AddRow({col.label, core::HumanBytes(agg.total_bytes)});

@@ -48,7 +48,7 @@ int main() {
                      "total traffic", "migrations"});
   for (const auto& row : rows) {
     auto opts = MakeOptions(row.spec, row.assumed);
-    opts.learning = row.learn;
+    if (row.learn) EnableLearning(&opts);
     auto agg = OrDie(core::RunAveraged(
         [&](uint64_t seed) {
           return workload::Workload::MakeQuery3(&topo, /*window=*/1, seed);

@@ -97,11 +97,10 @@ int Main(int argc, char** argv) {
   std::printf("results delivered     %llu\n",
               static_cast<unsigned long long>(exec.results()));
 
-  // Merge mode: the CI release-bench invokes this binary once per shard
-  // count; each run upserts its own per-config
-  // entry plus the headline "mesh_10k" entry (last configuration wins)
-  // into the accumulated report.
-  benchutil::JsonReport report("BENCH_mesh_10k.json", /*merge=*/true);
+  // One per-config entry (mesh_10k_s<S>) plus the headline "mesh_10k"
+  // entry. The CI release-bench runs this binary once per shard count and
+  // reads each run's per-config entry right after that run.
+  benchutil::JsonReport report("BENCH_mesh_10k.json");
   char config[64];
   std::snprintf(config, sizeof(config), "mesh_10k_s%d", opts.knobs.shards);
   for (const char* entry : {"mesh_10k", static_cast<const char*>(config)}) {

@@ -177,7 +177,7 @@ int Main(int argc, char** argv) {
               reopt.exempt_cycles,
               static_cast<unsigned long long>(reopt.exempt_allocs));
 
-  benchutil::JsonReport report("BENCH_reopt.json", /*merge=*/true);
+  benchutil::JsonReport report("BENCH_reopt.json");
   char config[64];
   std::snprintf(config, sizeof(config), "reopt_s%d", knobs.shards);
   for (const char* entry : {"reopt", static_cast<const char*>(config)}) {

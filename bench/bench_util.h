@@ -158,6 +158,14 @@ inline join::ExecutorOptions MakeOptions(
   return opts;
 }
 
+/// Turns on the Section 6 adaptive loop with the settings of the paper's
+/// learning figures: re-estimate every 25 of the query's cycles, reset the
+/// estimator counters every 200. Overrides ASPEN_REOPT.
+inline void EnableLearning(join::ExecutorOptions* opts) {
+  opts->knobs.reopt_interval = 25;
+  opts->knobs.counter_reset_interval = 200;
+}
+
 /// The paper's standard 100-node, ~7-neighbor evaluation topology.
 inline net::Topology PaperTopology(uint64_t seed = 42) {
   auto topo = net::Topology::Random(100, 7.0, seed);
@@ -200,17 +208,12 @@ inline void PrintHeader(const char* figure, const char* what) {
 
 /// \brief Collects named numeric metrics and writes them as JSON.
 ///
-/// With `merge` set, an existing report at `path` (in this class's own
-/// format) is loaded first, so several bench invocations — e.g. one CI
-/// matrix run per shard count — accumulate into one
-/// file instead of clobbering each other. Add() replaces the value of a
-/// metric that is already present, keeping re-runs idempotent.
+/// Each run writes its own file from scratch; a caller that compares runs
+/// (the CI throughput matrix) reads each run's entry right after that run.
+/// Add() replaces the value of a metric that is already present.
 class JsonReport {
  public:
-  explicit JsonReport(std::string path, bool merge = false)
-      : path_(std::move(path)) {
-    if (merge) LoadExisting();
-  }
+  explicit JsonReport(std::string path) : path_(std::move(path)) {}
 
   void Add(const std::string& bench, const std::string& metric,
            double value) {
@@ -257,46 +260,6 @@ class JsonReport {
     std::string name;
     std::vector<std::pair<std::string, double>> metrics;
   };
-
-  /// Parses a prior Write()'s output back into entries_. Only this class's
-  /// own flat {"bench": {"metric": value}} shape is understood; a missing
-  /// or foreign file just leaves the report empty.
-  void LoadExisting() {
-    std::FILE* f = std::fopen(path_.c_str(), "r");
-    if (f == nullptr) return;
-    std::string text;
-    char buf[4096];
-    size_t n;
-    while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) text.append(buf, n);
-    std::fclose(f);
-    size_t pos = 0;
-    auto next_string = [&](std::string* out) {
-      size_t open = text.find('"', pos);
-      if (open == std::string::npos) return false;
-      size_t close = text.find('"', open + 1);
-      if (close == std::string::npos) return false;
-      out->assign(text, open + 1, close - open - 1);
-      pos = close + 1;
-      return true;
-    };
-    std::string name;
-    while (next_string(&name)) {
-      size_t brace = text.find_first_not_of(": \t\n", pos);
-      if (brace == std::string::npos || text[brace] != '{') break;
-      pos = brace + 1;
-      size_t end = text.find('}', pos);
-      if (end == std::string::npos) break;
-      std::string metric;
-      while (pos < end && next_string(&metric) && pos < end) {
-        size_t colon = text.find(':', pos);
-        if (colon == std::string::npos || colon > end) break;
-        Add(name, metric, std::strtod(text.c_str() + colon + 1, nullptr));
-        pos = text.find_first_of(",}", colon + 1);
-        if (pos == std::string::npos || text[pos] == '}') break;
-      }
-      pos = end + 1;
-    }
-  }
 
   std::string path_;
   std::vector<Entry> entries_;

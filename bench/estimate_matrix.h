@@ -35,7 +35,7 @@ inline void RunEstimateMatrix(const TrueFactory& factory,
       workload::SelectivityParams assumed{assumed_ratio.sigma_s,
                                           assumed_ratio.sigma_t, sigma_st};
       auto opts = MakeOptions(algo, assumed);
-      opts.learning = learning;
+      if (learning) EnableLearning(&opts);
       auto agg = OrDie(core::RunAveraged(
           [&](uint64_t seed) { return factory(truth, seed); }, opts, cycles,
           runs));

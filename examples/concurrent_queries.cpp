@@ -52,8 +52,13 @@ int main() {
   opts.algorithm = join::Algorithm::kInnet;
   opts.features = join::InnetFeatures::Cmg();
   opts.assumed = sel;
-  join::JoinExecutor* e1 = medium.AddQuery(&*q1, opts);
-  join::JoinExecutor* e2 = medium.AddQuery(&*q2, opts);
+  auto e1 = medium.TryAddQuery(&*q1, opts);
+  auto e2 = medium.TryAddQuery(&*q2, opts);
+  if (!e1.ok() || !e2.ok()) {
+    const Status& bad = e1.ok() ? e2.status() : e1.status();
+    std::fprintf(stderr, "admission failed: %s\n", bad.ToString().c_str());
+    return 1;
+  }
   if (!medium.InitiateAll().ok() || !medium.RunCycles(cycles).ok()) return 1;
 
   core::Table table({"configuration", "total traffic"});
@@ -70,7 +75,7 @@ int main() {
   std::printf(
       "\nresults: Query 1 -> %lu, Query 2 -> %lu (identical to isolated "
       "runs)\n",
-      static_cast<unsigned long>(e1->results()),
-      static_cast<unsigned long>(e2->results()));
+      static_cast<unsigned long>((*e1)->results()),
+      static_cast<unsigned long>((*e2)->results()));
   return 0;
 }

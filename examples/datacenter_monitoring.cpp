@@ -38,7 +38,8 @@ int main() {
   opts.features = join::InnetFeatures::Cmg();
   // Act 1: no knowledge — assume everything matches all the time.
   opts.assumed = {1.0, 1.0, 1.0};
-  opts.learning = true;
+  opts.knobs.reopt_interval = 25;  // learn and re-place every 25 cycles
+  opts.knobs.counter_reset_interval = 200;
 
   join::JoinExecutor exec(&*wl, opts);
   if (!exec.Initiate().ok()) return 1;

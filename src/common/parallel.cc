@@ -1,8 +1,6 @@
 #include "common/parallel.h"
 
-#include <algorithm>
 #include <atomic>
-#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -12,35 +10,6 @@ namespace common {
 int DefaultThreadCount() {
   unsigned hw = std::thread::hardware_concurrency();
   return hw > 0 ? static_cast<int>(hw) : 1;
-}
-
-void ParallelFor(int n, int num_threads, const std::function<void(int)>& fn) {
-  if (n <= 0) return;
-  if (num_threads <= 0) num_threads = DefaultThreadCount();
-  num_threads = std::min(num_threads, n);
-  if (num_threads == 1) {
-    for (int i = 0; i < n; ++i) fn(i);
-    return;
-  }
-  std::atomic<int> next{0};
-  std::mutex err_mu;
-  std::exception_ptr first_error;
-  auto worker = [&] {
-    for (int i = next.fetch_add(1); i < n; i = next.fetch_add(1)) {
-      try {
-        fn(i);
-      } catch (...) {
-        std::lock_guard<std::mutex> lock(err_mu);
-        if (!first_error) first_error = std::current_exception();
-      }
-    }
-  };
-  std::vector<std::thread> threads;
-  threads.reserve(num_threads - 1);
-  for (int t = 1; t < num_threads; ++t) threads.emplace_back(worker);
-  worker();
-  for (auto& th : threads) th.join();
-  if (first_error) std::rethrow_exception(first_error);
 }
 
 WorkerPool::WorkerPool(int num_workers) {

@@ -1,7 +1,8 @@
-// Minimal index-space thread pool: run fn(0..n-1) on a bounded set of
-// workers. Used by core::RunAveraged, whose repetitions are embarrassingly
-// parallel — each owns its workload, network and RNG, and the only shared
-// object (the Topology) is immutable.
+// Persistent fork-join pool: run fn(0..n-1) on a bounded set of parked
+// workers plus the caller. The sharded kernel runs its node-range phases
+// on one; core::RunAveraged runs its embarrassingly parallel repetitions
+// on another (each owns its workload, network and RNG, and the only shared
+// object, the Topology, is immutable).
 
 #ifndef ASPEN_COMMON_PARALLEL_H_
 #define ASPEN_COMMON_PARALLEL_H_
@@ -22,22 +23,12 @@ namespace common {
 /// Hardware concurrency, at least 1.
 int DefaultThreadCount();
 
-/// \brief Invokes `fn(i)` for every i in [0, n), distributing indices over
-/// up to `num_threads` worker threads (0 = hardware concurrency). Blocks
-/// until every invocation returned. With one thread (or n == 1) the calls
-/// run inline on the caller's thread.
-///
-/// `fn` must be safe to call concurrently from multiple threads. If any
-/// invocation throws, every index still runs; the first-recorded exception
-/// is rethrown on the caller after the join.
-void ParallelFor(int n, int num_threads, const std::function<void(int)>& fn);
-
 /// \brief Persistent fork-join pool for phase-structured work.
 ///
-/// Unlike ParallelFor, the worker threads are spawned once and parked on a
-/// condition variable between jobs, so a Run() costs two wakeup/park cycles
-/// instead of thread creation — cheap enough to call once per simulation
-/// phase (the sharded kernel runs several Run()s per transmission cycle).
+/// The worker threads are spawned once and parked on a condition variable
+/// between jobs, so a Run() costs two wakeup/park cycles instead of thread
+/// creation — cheap enough to call once per simulation phase (the sharded
+/// kernel runs several Run()s per transmission cycle).
 /// Run() holds the job by pointer and never copies the callable, so a
 /// steady-state Run() performs no heap allocation.
 class WorkerPool {

@@ -253,7 +253,8 @@ Result<AggregatedStats> RunAveraged(const WorkloadFactory& factory,
   // are claimed in seed order, so the first non-OK outcome below is always
   // a real error, never a skipped slot).
   std::atomic<bool> failed{false};
-  common::ParallelFor(runs, num_threads, [&](int r) {
+  common::WorkerPool pool(std::max(0, std::min(num_threads, runs) - 1));
+  pool.Run(runs, [&](int r) {
     if (failed.load(std::memory_order_relaxed)) return;
     auto wl = factory(seed0 + r);
     if (!wl.ok()) {

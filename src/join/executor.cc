@@ -69,7 +69,8 @@ JoinExecutor::JoinExecutor(const workload::Workload* workload,
   scratch_.resize(sched_->num_shards());
   sched_->Attach(this);
   reopt_ = adapt::ReoptController(opts_.knobs.reopt_interval,
-                                  opts_.knobs.reopt_threshold);
+                                  opts_.knobs.reopt_threshold,
+                                  opts_.knobs.counter_reset_interval);
   data_pool_ = net_->payloads().GetOrCreate<DataPayload>(kPayloadTagData);
   result_pool_ =
       net_->payloads().GetOrCreate<ResultPayload>(kPayloadTagResult);
@@ -89,7 +90,8 @@ JoinExecutor::JoinExecutor(const workload::Workload* workload,
   // The medium's scheduler partitioned the network at construction.
   scratch_.resize(net_->num_shards());
   reopt_ = adapt::ReoptController(opts_.knobs.reopt_interval,
-                                  opts_.knobs.reopt_threshold);
+                                  opts_.knobs.reopt_threshold,
+                                  opts_.knobs.counter_reset_interval);
   data_pool_ = net_->payloads().GetOrCreate<DataPayload>(kPayloadTagData);
   result_pool_ =
       net_->payloads().GetOrCreate<ResultPayload>(kPayloadTagResult);
@@ -342,6 +344,7 @@ Status JoinExecutor::Initiate() {
     // Re-optimization passes run in the steady state: pre-size the pass
     // scratch and the in-flight protocol table so neither grows later.
     reopt_diverged_.reserve(placements_.size());
+    reopt_groups_.reserve(groups_.size());
     planned_migrations_.reserve(placements_.size());
   }
   // On a shared medium the SharedMedium owns the resolver (all primary
@@ -1116,9 +1119,10 @@ Status JoinExecutor::OnReoptimize(int cycle) {
   common::SequentialPhaseScope seq;
   net::TrafficStats::QueryScope scope(&net_->stats(), query_id_);
   AdvancePlannedMigrations();
-  if (opts_.algorithm == Algorithm::kInnet && !opts_.oracle &&
-      reopt_.TakeDue()) {
-    RunReopt();
+  if (opts_.algorithm == Algorithm::kInnet && reopt_.TakeDue()) RunReopt();
+  // After the pass: a reset armed on the same tick must not starve it.
+  if (reopt_.TakeReset()) {
+    ForEachState([](NodeId, PairState& st) { st.estimator.Reset(); });
   }
   return Status::OK();
 }
@@ -1129,10 +1133,10 @@ Status JoinExecutor::OnLearn(int cycle) {
   }
   common::SequentialPhaseScope seq;
   net::TrafficStats::QueryScope scope(&net_->stats(), query_id_);
-  ForEachState([](NodeId, PairState& st) { st.estimator.Tick(); });
-  ++learn_ticks_;
-  reopt_.Tick();
-  if (opts_.learning) RunLearning();
+  if (reopt_.enabled()) {
+    ForEachState([](NodeId, PairState& st) { st.estimator.Tick(); });
+    reopt_.Tick();
+  }
   cycle_ = cycle + 1;
   return Status::OK();
 }

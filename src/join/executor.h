@@ -121,8 +121,8 @@ class JoinExecutor : public sim::CycleParticipant {
     std::vector<net::NodeId> path;
     /// Index of join_node within path (-1 if not path-based).
     int path_index = -1;
-    /// Estimates the current placement was computed with (learning compares
-    /// fresh estimates against these).
+    /// Estimates the current placement was computed with (re-optimization
+    /// passes compare fresh estimates against these).
     workload::SelectivityParams placed_with;
     /// The pairwise cost-model decision, before any group (MPO) override.
     bool pairwise_at_base = true;
@@ -263,8 +263,7 @@ class JoinExecutor : public sim::CycleParticipant {
     }
   }
 
-  // -- learning & failure -------------------------------------------------------
-  void RunLearning() ASPEN_REQUIRES_SEQUENTIAL;
+  // -- migration & failure ------------------------------------------------------
   /// Moves a pair's windows between join locations, charging the transfer.
   void MoveState(const PairKey& pair, net::NodeId from, net::NodeId to,
                  bool charge) ASPEN_REQUIRES_SEQUENTIAL;
@@ -293,7 +292,7 @@ class JoinExecutor : public sim::CycleParticipant {
   /// selectivities per held placement and, where the estimate diverged past
   /// the threshold, re-runs the pairwise cost model and announces a planned
   /// migration. Grouped pairs (Innet-g) reconcile through the MPO
-  /// coordinator round instead, as in the learning path.
+  /// coordinator round instead.
   void RunReopt() ASPEN_REQUIRES_SEQUENTIAL;
   /// Advances every in-flight planned migration by one phase.
   void AdvancePlannedMigrations() ASPEN_REQUIRES_SEQUENTIAL;
@@ -393,15 +392,6 @@ class JoinExecutor : public sim::CycleParticipant {
   /// Placement index -> index into groups_ (-1 when ungrouped).
   std::vector<int32_t> pair_group_;
   int group_decision_seq_ = 0;
-  /// Reused scratch for RunLearning's re-estimation pass, so a steady
-  /// state where estimates keep drifting past the divergence threshold
-  /// still allocates nothing once the vectors are warm.
-  struct PlannedReestimate {
-    PairKey pair;
-    workload::SelectivityParams est;
-  };
-  std::vector<PlannedReestimate> reestimate_scratch_;
-  std::vector<int32_t> affected_groups_scratch_;
 
   /// Typed payload pools on the network's data plane (shared by every
   /// executor on a medium). Not owned.
@@ -478,14 +468,12 @@ class JoinExecutor : public sim::CycleParticipant {
   };
   /// RunReopt scratch, pre-reserved at initiation: a pass that finds
   /// divergence but migrates nothing is a steady-state cycle and must not
-  /// allocate.
+  /// allocate. reopt_groups_ holds the groups whose members re-costed,
+  /// ascending.
   std::vector<FreshEstimate> reopt_diverged_;
-  /// Learn phases this query has run — its *own* clock, so interval
-  /// triggers (re-estimation, counter reset, re-optimization) are correct
-  /// for queries admitted mid-run on a shared medium. Equals cycle + 1
-  /// inside OnLearn for a cycle-0 admission.
-  int learn_ticks_ = 0;
-  /// Paces and gates continuous re-optimization (knobs.reopt_interval).
+  std::vector<int32_t> reopt_groups_;
+  /// Paces the adaptive loop on the query's own learn ticks
+  /// (knobs.reopt_interval, reopt_threshold, counter_reset_interval).
   adapt::ReoptController reopt_;
   int cycle_ = 0;
   uint64_t results_ = 0;

@@ -317,7 +317,7 @@ void JoinExecutor::DecideGroupFor(const opt::JoinGroup& group,
   std::vector<double> deltas;
   auto report = [&](NodeId member, bool as_s) {
     // Members use the estimates their placements were computed with; with
-    // learning on these are the learned values.
+    // the adaptive loop on these are the learned values.
     workload::SelectivityParams est = opts_.assumed;
     const auto& pair_idxs =
         as_s ? nodes_[member].s_pairs : nodes_[member].t_pairs;
@@ -545,7 +545,7 @@ void JoinExecutor::OnSnoop(const Message& msg, NodeId snooper, NodeId from,
   RebuildProducerRoute(p, true, /*charge_traffic=*/true);
 }
 
-// ---- learning & migration (Section 6) ------------------------------------------
+// ---- migration (Section 6) -----------------------------------------------------
 
 void JoinExecutor::MoveState(const PairKey& pair, NodeId from, NodeId to,
                              bool charge) {
@@ -591,89 +591,6 @@ void JoinExecutor::MigratePair(PairPlacement* pl, bool new_at_base,
   plans_dirty_ = true;
 }
 
-void JoinExecutor::RunLearning() {
-  const int w = workload_->join_query().window.size;
-  // Interval triggers run off the query's own learn-tick clock, not the
-  // scheduler's cycle number: a query admitted at medium cycle 50 still
-  // re-estimates after its own reestimate_interval learn phases, with
-  // estimator counters (cycles_ ticks every learn) aligned to the period.
-  // Identical to the old (cycle + 1) trigger for cycle-0 admissions.
-  if (learn_ticks_ % opts_.reestimate_interval == 0) {
-    auto depth_of = [this](NodeId id) { return DepthOf(id); };
-    bool any_moved = false;
-    // Collect first: MigratePair mutates the per-node state tables. The
-    // scratch vectors are members reused across ticks (zero-alloc warm).
-    std::vector<PlannedReestimate>& planned = reestimate_scratch_;
-    planned.clear();
-    ForEachState([&](NodeId loc, PairState& st) {
-      const PairPlacement* pl = FindPlacement(st.pair);
-      if (pl == nullptr) return;
-      if (pl->failed_over || pl->path.empty()) return;
-      if ((pl->at_base ? 0 : pl->join_node) != loc) return;  // stale
-      if (FindMigration(st.pair) != nullptr) return;  // mid-relocation
-      workload::SelectivityParams est =
-          st.estimator.Estimate(w, pl->placed_with);
-      if (adapt::SelectivityEstimator::Diverged(est, pl->placed_with,
-                                                opts_.divergence_threshold)) {
-        planned.push_back({st.pair, est});
-      }
-    });
-    std::vector<int32_t>& affected_groups = affected_groups_scratch_;
-    affected_groups.clear();
-    for (const auto& plan : planned) {
-      PairPlacement* pl = MutablePlacement(plan.pair);
-      const opt::PairCostInputs est_cost = ToCost(plan.est, w);
-      OnPathChoice choice = BestOnPath(est_cost, pl->path, depth_of);
-      // Hysteresis: relocating pays a window transfer and producer
-      // notifications, so only move for a meaningful (>=10%) modeled
-      // improvement over staying put under the fresh estimates.
-      double current_cost =
-          pl->at_base
-              ? choice.base_cost
-              : opt::InnetPairCost(
-                    est_cost, pl->path_index,
-                    static_cast<int>(pl->path.size()) - 1 - pl->path_index,
-                    DepthOf(pl->join_node));
-      double best_cost = std::min(choice.innet_cost, choice.base_cost);
-      pl->placed_with = plan.est;
-      if (best_cost > current_cost * 0.9) continue;
-      pl->pairwise_at_base = choice.base_cheaper();
-      bool new_at_base =
-          opts_.features.group_opt ? pl->at_base : pl->pairwise_at_base;
-      // Without group optimization the pairwise decision applies directly;
-      // with it, the group pass below reconciles at_base.
-      NodeId new_join = pl->path[choice.index];
-      if (opts_.features.group_opt && pl->at_base) {
-        // Stay at base for now; the group decision may move the group.
-        pl->join_node = new_join;
-        pl->path_index = choice.index;
-      } else {
-        NodeId old_join = pl->at_base ? 0 : pl->join_node;
-        MigratePair(pl, new_at_base, new_join, choice.index);
-        if ((pl->at_base ? 0 : pl->join_node) != old_join) any_moved = true;
-      }
-      if (opts_.features.group_opt) {
-        int32_t g = pair_group_[pl - placements_.data()];
-        if (g >= 0) common::InsertSortedUnique(&affected_groups, g);
-      }
-    }
-    if (!affected_groups.empty() && opts_.features.group_opt) {
-      // Re-decide only the groups whose members' estimates changed; a full
-      // network-wide re-optimization would charge every group's reports.
-      for (int32_t g : affected_groups) {
-        DecideGroupFor(groups_[g], /*charge_traffic=*/true);
-      }
-      any_moved = true;
-    }
-    if (any_moved && opts_.features.multicast) {
-      BuildMulticastRoutes(/*charge_traffic=*/true);
-    }
-  }
-  if (learn_ticks_ % opts_.counter_reset_interval == 0) {
-    ForEachState([](NodeId, PairState& st) { st.estimator.Reset(); });
-  }
-}
-
 // ---- continuous re-optimization (planned migration, three phases) --------------
 
 JoinExecutor::PlannedMigration* JoinExecutor::FindMigration(
@@ -706,7 +623,7 @@ void JoinExecutor::RunReopt() {
       reopt_diverged_.push_back({st.pair, est});
     }
   });
-  std::set<size_t> affected_groups;
+  reopt_groups_.clear();
   bool any_moved = false;
   for (const FreshEstimate& f : reopt_diverged_) {
     PairPlacement* pl = MutablePlacement(f.pair);
@@ -721,17 +638,17 @@ void JoinExecutor::RunReopt() {
                   DepthOf(pl->join_node));
     double best_cost = std::min(choice.innet_cost, choice.base_cost);
     pl->placed_with = f.est;
-    // Same hysteresis as the learning path: relocating pays a window
-    // transfer and producer notifications, so only move for a meaningful
-    // (>= 10%) modeled improvement under the fresh estimates.
+    // Hysteresis: relocating pays a window transfer and producer
+    // notifications, so only move for a meaningful (>= 10%) modeled
+    // improvement under the fresh estimates.
     if (best_cost > current_cost * 0.9) continue;
     pl->pairwise_at_base = choice.base_cheaper();
     const NodeId new_join = pl->path[choice.index];
     const int32_t g = pair_group_[pl - placements_.data()];
     if (opts_.features.group_opt && g >= 0) {
       // Grouped pairs reconcile through the MPO coordinator round — an
-      // instant group decision, exactly as in the learning path; only
-      // ungrouped pairs take the planned three-phase protocol.
+      // instant group decision; only ungrouped pairs take the planned
+      // three-phase protocol.
       if (pl->at_base) {
         pl->join_node = new_join;
         pl->path_index = choice.index;
@@ -740,7 +657,7 @@ void JoinExecutor::RunReopt() {
         MigratePair(pl, /*new_at_base=*/false, new_join, choice.index);
         if (pl->join_node != old_join) any_moved = true;
       }
-      affected_groups.insert(static_cast<size_t>(g));
+      common::InsertSortedUnique(&reopt_groups_, g);
       continue;
     }
     const NodeId from = pl->at_base ? 0 : pl->join_node;
@@ -781,9 +698,11 @@ void JoinExecutor::RunReopt() {
     planned_migrations_.push_back(m);
     reopt_.RecordPlanned();
   }
-  if (opts_.features.group_opt && !affected_groups.empty()) {
-    for (size_t gi : affected_groups) {
-      DecideGroupFor(groups_[gi], /*charge_traffic=*/true);
+  if (!reopt_groups_.empty()) {
+    // Re-decide only the groups whose members re-costed; a network-wide
+    // re-optimization would charge every group's reports.
+    for (int32_t g : reopt_groups_) {
+      DecideGroupFor(groups_[g], /*charge_traffic=*/true);
     }
     any_moved = true;
   }

@@ -137,16 +137,6 @@ Result<JoinExecutor*> SharedMedium::TryAddQuery(const QuerySpec& spec) {
   return exec;
 }
 
-JoinExecutor* SharedMedium::AddQuery(const workload::Workload* workload,
-                                     ExecutorOptions options) {
-  auto exec = TryAddQuery(workload, options);
-  if (!exec.ok()) {
-    ASPEN_LOG_ERROR("AddQuery: " + exec.status().ToString());
-  }
-  ASPEN_CHECK_OK(exec.status());
-  return *exec;
-}
-
 Status SharedMedium::RemoveQuery(int query_id) {
   JoinExecutor* exec = FindExecutor(query_id);
   if (exec == nullptr) {
@@ -243,7 +233,11 @@ uint64_t SharedMedium::FingerprintPair(const JoinExecutor& exec,
   mix_double(o.assumed.sigma_st);
   mix(o.oracle ? 1 : 0);
   mix(static_cast<uint64_t>(o.summary_type));
-  mix(o.learning ? 1 : 0);
+  // Two queries that adapt differently must not ride one placement: a
+  // subscriber's loop settings would silently be the owner's.
+  mix(static_cast<uint64_t>(o.knobs.reopt_interval));
+  mix_double(o.knobs.reopt_threshold);
+  mix(static_cast<uint64_t>(o.knobs.counter_reset_interval));
   mix(static_cast<uint64_t>(o.num_trees));
   mix(o.mesh_mode ? 1 : 0);
   mix_double(o.loss_prob);

@@ -108,12 +108,6 @@ class SharedMedium : private sim::CycleParticipant {
   /// removed.
   Result<JoinExecutor*> TryAddQuery(const QuerySpec& spec);
 
-  /// CHECK-failing convenience wrapper around TryAddQuery for callers with
-  /// statically-known-compatible workloads. On failure the underlying
-  /// Status text is logged and reported verbatim by the aborting check.
-  JoinExecutor* AddQuery(const workload::Workload* workload,
-                         ExecutorOptions options);
-
   /// \brief Removes a live query: snapshots its per-query stats into the
   /// ledger, shuts the executor down (windows flushed, pooled payload
   /// references dropped, interned routes retired for the epoch-safe

@@ -64,16 +64,6 @@ struct ExecutorOptions {
   /// Summary structure indexing the primary join key (ablation knob).
   routing::SummaryType summary_type = routing::SummaryType::kBloom;
 
-  /// Section 6: learn selectivities at join nodes and re-optimize.
-  bool learning = false;
-  /// Trigger re-placement when an estimate diverges by more than this
-  /// fraction from the value the current placement used (paper: 33%).
-  double divergence_threshold = 0.33;
-  /// Sampling cycles between re-estimations at join nodes.
-  int reestimate_interval = 25;
-  /// Counters reset period ("learning within a local time span").
-  int counter_reset_interval = 200;
-
   /// Routing substrate width for Innet exploration.
   int num_trees = 3;
 
@@ -91,8 +81,9 @@ struct ExecutorOptions {
   /// worker-driven node ranges, byte-identical for every value.
   /// Medium-attached executors shard with the medium's scheduler
   /// (join::MediumOptions::knobs) and ignore that field here, but keep
-  /// their own `knobs.reopt_interval` / `knobs.reopt_threshold`: the
-  /// continuous re-optimization loop is per query.
+  /// their own adaptive-loop settings (`knobs.reopt_interval`,
+  /// `knobs.reopt_threshold`, `knobs.counter_reset_interval`): Section 6's
+  /// learning and re-optimization run per query.
   common::RunKnobs knobs;
 
   uint64_t seed = 1;

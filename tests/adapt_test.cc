@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "adapt/estimator.h"
+#include "adapt/reopt.h"
 
 namespace aspen {
 namespace adapt {
@@ -83,6 +84,31 @@ TEST(DivergenceTest, ZeroReferenceHandled) {
   EXPECT_FALSE(SelectivityEstimator::Diverged(fresh, ref, 0.33));
   fresh.sigma_s = 0.001;
   EXPECT_TRUE(SelectivityEstimator::Diverged(fresh, ref, 0.33));
+}
+
+TEST(ReoptResetTest, ResetArmsEveryResetIntervalAlongsideItsPass) {
+  // Pass every 5 ticks, reset every 10: each reset is armed on the same
+  // tick as a pass, and both flags are drained once.
+  ReoptController ctl(/*interval=*/5, /*threshold=*/0.33,
+                      /*reset_interval=*/10);
+  for (int t = 1; t <= 20; ++t) {
+    ctl.Tick();
+    EXPECT_EQ(ctl.TakeDue(), t % 5 == 0) << "tick " << t;
+    EXPECT_EQ(ctl.TakeReset(), t % 10 == 0) << "tick " << t;
+  }
+  EXPECT_FALSE(ctl.TakeReset());
+}
+
+TEST(ReoptResetTest, ZeroResetIntervalOrLoopOffNeverResets) {
+  ReoptController no_reset(/*interval=*/5, /*threshold=*/0.33);
+  ReoptController off(/*interval=*/0, /*threshold=*/0.33,
+                      /*reset_interval=*/10);
+  for (int t = 1; t <= 20; ++t) {
+    no_reset.Tick();
+    off.Tick();
+    EXPECT_FALSE(no_reset.TakeReset());
+    EXPECT_FALSE(off.TakeReset());
+  }
 }
 
 }  // namespace

@@ -288,8 +288,8 @@ TEST(LearningTest, WrongEstimatesTriggerMigrations) {
   auto wl = Workload::MakeQuery0(&topo, truth, 10, 3, 7);
   ASSERT_TRUE(wl.ok());
   ExecutorOptions opts = Opts(Algorithm::kInnet, {}, wrong);
-  opts.learning = true;
-  opts.reestimate_interval = 10;
+  opts.knobs.reopt_interval = 10;
+  opts.knobs.counter_reset_interval = 200;
   JoinExecutor exec(&*wl, opts);
   ASSERT_TRUE(exec.Initiate().ok());
   ASSERT_TRUE(exec.RunCycles(100).ok());
@@ -304,8 +304,8 @@ TEST(LearningTest, LearningReducesTrafficUnderWrongEstimates) {
   auto wl2 = *Workload::MakeQuery0(&topo, truth, 10, 3, 7);
   ExecutorOptions fixed = Opts(Algorithm::kInnet, {}, wrong);
   ExecutorOptions learn = fixed;
-  learn.learning = true;
-  learn.reestimate_interval = 10;
+  learn.knobs.reopt_interval = 10;
+  learn.knobs.counter_reset_interval = 200;
   auto without = core::RunExperiment(wl1, fixed, 300);
   auto with = core::RunExperiment(wl2, learn, 300);
   ASSERT_TRUE(without.ok() && with.ok());
@@ -319,8 +319,8 @@ TEST(LearningTest, CorrectEstimatesStayPut) {
   auto wl = Workload::MakeQuery0(&topo, truth, 10, 3, 7);
   ASSERT_TRUE(wl.ok());
   ExecutorOptions opts = Opts(Algorithm::kInnet, {}, truth);
-  opts.learning = true;
-  opts.reestimate_interval = 20;
+  opts.knobs.reopt_interval = 20;
+  opts.knobs.counter_reset_interval = 200;
   JoinExecutor exec(&*wl, opts);
   ASSERT_TRUE(exec.Initiate().ok());
   ASSERT_TRUE(exec.RunCycles(120).ok());

@@ -176,9 +176,8 @@ TEST(LearningTest, CountersResetPeriodically) {
   auto wl = Workload::MakeQuery0(&topo, sel, 5, 3, 7);
   ASSERT_TRUE(wl.ok());
   auto opts = Opts(Algorithm::kInnet, {}, sel);
-  opts.learning = true;
-  opts.counter_reset_interval = 10;
-  opts.reestimate_interval = 5;
+  opts.knobs.reopt_interval = 5;
+  opts.knobs.counter_reset_interval = 10;
   JoinExecutor exec(&*wl, opts);
   ASSERT_TRUE(exec.Initiate().ok());
   // Just exercise the reset path over several periods; correctness is the
@@ -199,8 +198,8 @@ TEST(LearningTest, MigrationTransfersWindowLosslessly) {
     auto wl = Workload::MakeQuery0(&topo, truth, 8, 3, seed);
     ASSERT_TRUE(wl.ok());
     auto opts = Opts(Algorithm::kInnet, InnetFeatures::Cmg(), wrong);
-    opts.learning = true;
-    opts.reestimate_interval = 10;
+    opts.knobs.reopt_interval = 10;
+    opts.knobs.counter_reset_interval = 200;
     JoinExecutor exec(&*wl, opts);
     ASSERT_TRUE(exec.Initiate().ok());
     ASSERT_TRUE(exec.RunCycles(120).ok());

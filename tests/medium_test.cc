@@ -323,6 +323,41 @@ TEST(SharedMediumTest, RemoveQueryFreesSpecOwnedWorkload) {
   EXPECT_TRUE(medium.RunCycles(5).ok());
 }
 
+TEST(SharedMediumTest, PlacementSharingKeysOnAdaptiveLoopSettings) {
+  // A subscriber's pairs are evaluated (and re-placed) by the owner, so two
+  // queries may share a placement only if they would adapt it identically.
+  auto topo = *net::Topology::Random(80, 7.0, 11);
+  SelectivityParams sel{0.5, 0.5, 0.2};
+  ExecutorOptions opts;
+  opts.algorithm = Algorithm::kInnet;
+  opts.features = InnetFeatures::Cm();
+  opts.assumed = sel;
+  opts.knobs.tree_mode = common::TreeMode::kShared;
+  opts.knobs.reopt_interval = 10;
+  MediumOptions mopts;
+  mopts.knobs.tree_mode = common::TreeMode::kShared;
+
+  auto shared_count = [&](const ExecutorOptions& second) {
+    auto q1 = *Workload::MakeQuery1(&topo, sel, 3, 7);
+    auto q2 = *Workload::MakeQuery1(&topo, sel, 3, 7);
+    SharedMedium medium(&topo, {}, mopts);
+    EXPECT_TRUE(medium.TryAddQuery(&q1, opts).ok());
+    EXPECT_TRUE(medium.TryAddQuery(&q2, second).ok());
+    EXPECT_TRUE(medium.InitiateAll().ok());
+    return medium.num_shared_placements();
+  };
+  EXPECT_GT(shared_count(opts), 0);
+  ExecutorOptions other_interval = opts;
+  other_interval.knobs.reopt_interval = 25;
+  EXPECT_EQ(shared_count(other_interval), 0);
+  ExecutorOptions other_threshold = opts;
+  other_threshold.knobs.reopt_threshold = 0.5;
+  EXPECT_EQ(shared_count(other_threshold), 0);
+  ExecutorOptions other_reset = opts;
+  other_reset.knobs.counter_reset_interval = 200;
+  EXPECT_EQ(shared_count(other_reset), 0);
+}
+
 }  // namespace
 }  // namespace join
 }  // namespace aspen

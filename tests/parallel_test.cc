@@ -13,39 +13,6 @@ namespace aspen {
 namespace common {
 namespace {
 
-TEST(ParallelForTest, CoversEveryIndexExactlyOnce) {
-  constexpr int kN = 1000;
-  std::vector<std::atomic<int>> hits(kN);
-  ParallelFor(kN, 4, [&](int i) { hits[i].fetch_add(1); });
-  for (int i = 0; i < kN; ++i) EXPECT_EQ(hits[i].load(), 1) << "index " << i;
-}
-
-TEST(ParallelForTest, ZeroAndNegativeNAreNoops) {
-  std::atomic<int> calls{0};
-  ParallelFor(0, 4, [&](int) { calls.fetch_add(1); });
-  ParallelFor(-3, 4, [&](int) { calls.fetch_add(1); });
-  EXPECT_EQ(calls.load(), 0);
-}
-
-TEST(ParallelForTest, SingleThreadRunsInlineOnCaller) {
-  const std::thread::id caller = std::this_thread::get_id();
-  std::vector<std::thread::id> ids(8);
-  ParallelFor(8, 1, [&](int i) { ids[i] = std::this_thread::get_id(); });
-  for (const auto& id : ids) EXPECT_EQ(id, caller);
-}
-
-TEST(ParallelForTest, ExceptionPropagatesAndEveryIndexStillRuns) {
-  constexpr int kN = 64;
-  std::atomic<int> calls{0};
-  EXPECT_THROW(ParallelFor(kN, 4,
-                           [&](int i) {
-                             calls.fetch_add(1);
-                             if (i == 7) throw std::runtime_error("boom");
-                           }),
-               std::runtime_error);
-  EXPECT_EQ(calls.load(), kN);
-}
-
 TEST(WorkerPoolTest, ZeroNIsNoop) {
   WorkerPool pool(2);
   std::atomic<int> calls{0};

@@ -45,7 +45,8 @@ TEST(SchedulerDeterminismTest, SameSeedSameStats) {
   opts.algorithm = join::Algorithm::kInnet;
   opts.features = join::InnetFeatures::Cmg();
   opts.assumed = sel;
-  opts.learning = true;
+  opts.knobs.reopt_interval = 25;
+  opts.knobs.counter_reset_interval = 200;
   opts.loss_prob = 0.05;  // exercise the RNG-dependent paths
   opts.seed = 42;
 
@@ -92,7 +93,8 @@ TEST(SchedulerDeterminismTest, ShardedStatsMatchSequential) {
   opts.algorithm = join::Algorithm::kInnet;
   opts.features = join::InnetFeatures::Cmg();
   opts.assumed = sel;
-  opts.learning = true;
+  opts.knobs.reopt_interval = 25;
+  opts.knobs.counter_reset_interval = 200;
   opts.loss_prob = 0.05;  // exercise the RNG-dependent paths
   opts.seed = 42;
 
@@ -196,7 +198,8 @@ TEST(SchedulerDeterminismTest, RunAveragedInvariantAcrossThreadCounts) {
   opts.algorithm = join::Algorithm::kInnet;
   opts.features = join::InnetFeatures::Cmg();
   opts.assumed = sel;
-  opts.learning = true;
+  opts.knobs.reopt_interval = 25;
+  opts.knobs.counter_reset_interval = 200;
 
   auto serial = core::RunAveraged(factory, opts, 30, 9, 1, /*num_threads=*/1);
   auto parallel4 =

@@ -76,7 +76,8 @@ TEST(DeterminismTest, IdenticalSeedsIdenticalRuns) {
   opts.algorithm = join::Algorithm::kInnet;
   opts.features = join::InnetFeatures::Cmg();
   opts.assumed = sel;
-  opts.learning = true;
+  opts.knobs.reopt_interval = 25;
+  opts.knobs.counter_reset_interval = 200;
   opts.loss_prob = 0.05;  // even stochastic loss is seed-deterministic
   opts.seed = 17;
   auto run = [&]() {
